@@ -234,6 +234,10 @@ class Instance:
         object.__setattr__(self, "targets", _readonly(np.asarray(self.targets, dtype=float)))
         if self.probs is not None:
             object.__setattr__(self, "probs", _readonly(np.asarray(self.probs, dtype=float)))
+        for name in ("costs", "probs", "targets"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         K, T = self.epochs, self.horizon
         if K < 1 or T < 1:
             raise ValueError("need at least one epoch and one period")
@@ -249,6 +253,8 @@ class Instance:
         for k in range(K):
             for i in range(self.m):
                 g = self.dev_costs[k][i]
+                if not np.isfinite(g.delta_plus) or not np.isfinite(g.delta_minus):
+                    raise ValueError(f"dev_costs[{k}][{i}] deltas must be finite")
                 if g.family != ZERO and g.target != self.targets[k, i]:
                     raise ValueError(f"deviation target mismatch at epoch {k}, resource {i}")
         if self.continuous:
@@ -400,8 +406,11 @@ class ArrivalSequence:
             raise ValueError("arrival mode does not match instance mode")
         if self.types is not None and (self.types.min() < 0 or self.types.max() >= instance.n):
             raise ValueError("type index out of range")
-        if self.cost_vectors is not None and self.cost_vectors.shape[1] != instance.m:
-            raise ValueError("cost vectors have the wrong number of resources")
+        if self.cost_vectors is not None:
+            if self.cost_vectors.shape[1] != instance.m:
+                raise ValueError("cost vectors have the wrong number of resources")
+            if not np.all(np.isfinite(self.cost_vectors)):
+                raise ValueError("cost_vectors must be finite")
 
     def type_counts(self, instance: Instance, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Arrival counts per type over periods (lo, hi], 0-based half-open."""

@@ -33,7 +33,8 @@ from .core import (
     Instance,
     deviation_cost_from_snapshots,
 )
-from .solver import chain_prefix_argmin, min_dev_plus_price, solve_box_convex
+from .solver import chain_prefix_argmin, min_dev_plus_price
+from .solver import solve_box_convex  # noqa: F401 -- perfbench's tracer wraps this name here
 
 PROXY_NA = -2  # proxy slot for epochs already in the past
 
@@ -50,14 +51,6 @@ class PolicyConfig:
     eta: Optional[float] = None
     eta_mult: float = 1.0
     mu_init: Optional[np.ndarray] = None
-    aux_budget: int = 400
-    aux_tol: float = 1e-9
-    warm_start: bool = True
-    tie_break: str = "assign-lowest-index"
-
-    def __post_init__(self) -> None:
-        if self.tie_break != "assign-lowest-index":
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
 
     def stepsize(self, K: int, T: int) -> float:
         if self.eta is not None:
@@ -127,9 +120,7 @@ def idealized_consumption(
     epoch: int,
     duals: np.ndarray,
     prior_consumption: np.ndarray,
-    warm_start: Optional[np.ndarray] = None,
-    config: Optional[PolicyConfig] = None,
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Idealized average consumption per remaining epoch and resource.
 
     Minimizes, over ``a`` in [0, 1]^{(K - epoch) x m},
@@ -138,12 +129,10 @@ def idealized_consumption(
                                  + sum_{k''<=k'} a_{k'' i} / (k'+1))
         + sum_{k' >= epoch} sum_i duals_{k' i} * a_{k' i}
 
-    (0-based epoch indices; the weight is the 1-based epoch number). When all
-    deviation costs involved are piecewise linear the minimizer is computed
-    exactly via a prefix-variable dynamic program; squared families fall back
-    to projected subgradient descent, flagging non-convergence.
+    (0-based epoch indices; the weight is the 1-based epoch number). The
+    minimizer is exact for every deviation family: each resource's column is
+    solved by the prefix-variable dynamic program :func:`chain_prefix_argmin`.
     """
-    config = config or PolicyConfig()
     K, m = instance.K, instance.m
     duals = np.asarray(duals, dtype=float)
     R = K - epoch
@@ -153,10 +142,10 @@ def idealized_consumption(
     limit = epoch * instance.epoch_len
     if np.any(prior > limit + 1e-9):
         raise ValueError("prior consumption exceeds the periods elapsed")
-    return _aux_solve(instance, epoch, duals, prior, warm_start, config)
+    return _aux_solve(instance, epoch, duals, prior)
 
 
-def _aux_solve(instance, epoch, duals, prior, warm_start, config):
+def _aux_solve(instance, epoch, duals, prior):
     K, m = instance.K, instance.m
     R = K - epoch
     grid = instance.dev_grid
@@ -165,20 +154,14 @@ def _aux_solve(instance, epoch, duals, prior, warm_start, config):
     tau = weights[:, None] * instance.targets[epoch:] - x_units[None, :]
     nu = duals.copy()
     nu[:-1] -= duals[1:]
-    a = np.empty((R, m))
-    info = {"fallback_calls": 0, "fallback_nonconverged": 0}
-    sq = grid.is_squared[epoch:]
     dp = grid.d_plus[epoch:]
     dm = grid.d_minus[epoch:]
+    # a squared stage in prefix units: w d ((x + s) / w - rho)^2 = (d / w) (s - tau)^2
+    curv = np.where(grid.is_squared[epoch:], dp, 0.0) / weights[:, None]
+    a = np.empty((R, m))
     for i in range(m):
-        if not sq[:, i].any():
-            a[:, i] = chain_prefix_argmin(tau[:, i], dp[:, i], dm[:, i], nu[:, i])
-        else:
-            a[:, i] = _aux_column_fallback(
-                grid, epoch, i, x_units[i], weights, duals[:, i],
-                None if warm_start is None else warm_start[:, i], config, info,
-            )
-    return a, info
+        a[:, i] = chain_prefix_argmin(tau[:, i], dp[:, i], dm[:, i], nu[:, i], curv[:, i])
+    return a
 
 
 def _zero_penalty_tail(instance: Instance) -> np.ndarray:
@@ -197,34 +180,6 @@ def _pin_flat(a: np.ndarray, x_ind: np.ndarray, mu: np.ndarray, flat: np.ndarray
         a = a.copy()
         a[mask] = x_ind[mask]
     return a
-
-
-def _aux_column_fallback(grid, epoch, i, x_unit, weights, mu_col, warm, config, info):
-    """Projected subgradient descent on one resource's coupled aux objective."""
-    sq = grid.is_squared[epoch:, i]
-    tgt = grid.target[epoch:, i]
-    dpl = grid.d_plus[epoch:, i]
-    dmi = grid.d_minus[epoch:, i]
-
-    def args(a_col):
-        return (x_unit + np.cumsum(a_col)) / weights
-
-    def objective(a_col):
-        gap = args(a_col) - tgt
-        vals = np.where(sq, dpl * gap * gap, dpl * np.maximum(gap, 0.0) + dmi * np.maximum(-gap, 0.0))
-        return float((weights * vals).sum() + (mu_col * a_col).sum())
-
-    def subgrad(a_col):
-        gap = args(a_col) - tgt
-        slopes = np.where(sq, 2.0 * dpl * gap, np.where(gap > 0, dpl, np.where(gap < 0, -dmi, 0.0)))
-        return np.cumsum(slopes[::-1])[::-1] + mu_col
-
-    x0 = warm if warm is not None else np.clip(np.diff(weights * tgt, prepend=x_unit), 0.0, 1.0)
-    res = solve_box_convex(objective, subgrad, x0, budget=config.aux_budget, tol=config.aux_tol)
-    info["fallback_calls"] += 1
-    if not res.converged:
-        info["fallback_nonconverged"] += 1
-    return res.x
 
 
 def _arrival(instance, arrivals, t):
@@ -293,8 +248,6 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
     snapshots = []
     assignment = 0.0
     x_prev = np.zeros(m)
-    warm: Optional[np.ndarray] = None
-    info_all = {"fallback_calls": 0, "fallback_nonconverged": 0}
     flat_tail = _zero_penalty_tail(instance)
 
     for t in range(T):
@@ -302,7 +255,6 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
         if t % step == 0:
             mu[k:] = mu_init[k:]
             x_prev = totals.astype(float)
-            warm = None
         mu_trace[t] = mu
         j, cvec, feas = _arrival(instance, arrivals, t)
 
@@ -323,12 +275,9 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
         live = proxies != REJECT
         x_ind[np.flatnonzero(live), proxies[live]] = 1.0
 
-        a, info = _aux_solve(instance, k, mu[k:], x_prev, warm if config.warm_start else None, config)
-        info_all["fallback_calls"] += info["fallback_calls"]
-        info_all["fallback_nonconverged"] += info["fallback_nonconverged"]
+        a = _aux_solve(instance, k, mu[k:], x_prev)
         a = _pin_flat(a, x_ind, mu[k:], flat_tail[k:])
         a_trace[t, k:] = a
-        warm = a
 
         mu[k:] += eta * (a - x_ind)
 
@@ -336,7 +285,7 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
             snapshots.append(totals.copy())
     mu_trace[T] = mu
     return _finalize("proxy-dgd", instance, arrivals, eta, decisions, mu_trace,
-                     a_trace, proxy_dec, snapshots, by_type, assignment, info_all)
+                     a_trace, proxy_dec, snapshots, by_type, assignment, {})
 
 
 def _dev_row_arrays(instance, epoch, targets_row):

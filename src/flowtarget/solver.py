@@ -3,20 +3,23 @@
 Three tools live here:
 
 * :func:`solve_box_convex` -- generic projected subgradient descent over a
-  box, with diminishing steps, warm starts, and best-iterate tracking.
+  box, with diminishing steps, warm starts, and best-iterate tracking (no
+  policy uses it; acceptance criterion 10 certifies it on its own).
 * :func:`min_dev_plus_price` -- exact vectorized minimizer of
   ``g(a) + price * a`` over ``a in [0, 1]`` for a grid of deviation costs
   (the per-epoch idealized-consumption step of the single-epoch policies,
   and the inner minimization of the Lagrangian dual).
 * :func:`chain_prefix_argmin` -- exact minimizer of the coupled multi-epoch
-  idealized-consumption objective when every deviation cost involved is
-  piecewise linear, via a tiny dynamic program over prefix variables.
+  idealized-consumption objective for every deviation family, via a tiny
+  dynamic program over prefix variables whose value-to-go functions are
+  convex piecewise quadratic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -105,83 +108,95 @@ def min_dev_plus_price(is_squared: np.ndarray, target: np.ndarray,
     return np.where(is_squared, sq, pl)
 
 
-def _pl_sum(bp_a: list, sl_a: list, bp_b: list, sl_b: list) -> tuple[list, list]:
-    """Sum of two convex piecewise-linear functions given as (breakpoints, slopes)."""
-    bp = sorted(set(bp_a) | set(bp_b))
-    sl = []
-    for idx in range(len(bp) + 1):
-        probe_left = bp[idx - 1] if idx > 0 else (bp[0] - 1.0 if bp else 0.0)
-        sl.append(_slope_at(bp_a, sl_a, probe_left) + _slope_at(bp_b, sl_b, probe_left))
-    return bp, sl
+def _leftmost_argmin(bp: list, cs: list, es: list) -> tuple[float, int, bool]:
+    """Leftmost minimizer of a convex piecewise-quadratic function on the reals.
 
-
-def _slope_at(bp: list, sl: list, x_left: float) -> float:
-    """Slope of the segment immediately to the right of breakpoint ``x_left``."""
-    idx = 0
-    while idx < len(bp) and bp[idx] <= x_left:
-        idx += 1
-    return sl[idx]
-
-
-def _leftmost_argmin(bp: list, sl: list) -> float:
-    """Leftmost minimizer of a convex piecewise-linear function on the reals.
-
-    Returns -inf when the function is nondecreasing from the left and +inf
-    when it decreases forever.
+    Segment ``j`` spans ``(bp[j-1], bp[j])`` and has derivative
+    ``cs[j] * s + es[j]``. Returns the minimizer, the index of its segment
+    and whether it lies strictly inside that segment (otherwise it is the
+    segment's left end); -inf when the function is nondecreasing from the
+    left and +inf when it decreases forever.
     """
-    for idx, s in enumerate(sl):
-        if s >= 0.0:
-            return -np.inf if idx == 0 else bp[idx - 1]
-    return np.inf
+    left = -np.inf
+    last = len(bp)
+    for j, (c, e) in enumerate(zip(cs, es)):
+        if (e if c == 0.0 else c * left + e) >= 0.0:
+            return left, j, False
+        if c > 0.0:
+            root = -e / c
+            if j == last or root < bp[j]:
+                return root, j, True
+        if j < last:
+            left = bp[j]
+    return np.inf, last, False
 
 
-def _window_min(bp: list, sl: list, argmin: float) -> tuple[list, list]:
-    """The function ``u -> min over s in [u, u+1] of V(s)`` for convex PL ``V``.
+def _window_min(bp: list, cs: list, es: list, argmin: float, j: int,
+                inside: bool) -> tuple[list, list, list]:
+    """The function ``u -> min over s in [u, u+1] of V(s)`` for convex ``V``.
 
     By convexity the window minimum is ``V`` evaluated at the projection of
-    its global argmin onto [u, u+1], which is again convex piecewise linear.
+    its global argmin onto [u, u+1]: segments left of the argmin shift by
+    -1 (derivative ``c*s + e`` becomes ``c*s + e + c``), a flat segment of
+    length 1 follows, and the rest is unchanged; an argmin inside segment
+    ``j`` splits that segment.
     """
     if argmin == -np.inf:
-        return list(bp), list(sl)
+        return bp, cs, es
     if argmin == np.inf:
-        return [b - 1.0 for b in bp], list(sl)
-    j = 0
-    while j < len(sl) and sl[j] < 0.0:
-        j += 1
-    new_bp = [b - 1.0 for b in bp[: j - 1]] + [argmin - 1.0, argmin] + list(bp[j:])
-    new_sl = list(sl[:j]) + [0.0] + list(sl[j:])
-    return new_bp, new_sl
+        return [b - 1.0 for b in bp], cs, [e + c for c, e in zip(cs, es)]
+    k = j + inside  # segments left of the argmin, a split one included
+    return ([b - 1.0 for b in bp[: k - 1]] + [argmin - 1.0, argmin] + bp[j:],
+            cs[:k] + [0.0] + cs[j:],
+            [e + c for c, e in zip(cs[:k], es[:k])] + [0.0] + es[j:])
 
 
 def chain_prefix_argmin(tau: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray,
-                        nu: np.ndarray) -> np.ndarray:
-    """Exact minimizer of a prefix-coupled piecewise-linear objective.
+                        nu: np.ndarray, curvature: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact minimizer of a prefix-coupled convex objective.
 
-    Minimizes ``sum_q [d+_q (s_q - tau_q)^+ + d-_q (tau_q - s_q)^+ + nu_q s_q]``
-    over prefix sums ``s`` with ``s_0 = 0`` and increments ``s_q - s_{q-1}``
-    in [0, 1], returning the increments. This is the multi-epoch idealized
-    average-consumption problem for one resource, rewritten in cumulative
-    variables (each epoch's deviation term depends only on the consumption
-    prefix, with unchanged kink weights).
+    Minimizes ``sum_q [phi_q(s_q) + nu_q s_q]`` over prefix sums ``s`` with
+    ``s_0 = 0`` and increments ``s_q - s_{q-1}`` in [0, 1], returning the
+    increments. Stage ``q`` is squared, ``phi_q(s) = curvature_q (s - tau_q)^2``,
+    when ``curvature_q > 0`` and piecewise linear,
+    ``phi_q(s) = d+_q (s - tau_q)^+ + d-_q (tau_q - s)^+``, otherwise. This
+    is the multi-epoch idealized average-consumption problem for one
+    resource, rewritten in cumulative variables (each epoch's deviation
+    term depends only on the consumption prefix).
 
-    Backward pass builds the convex value-to-go functions as (breakpoint,
-    slope) lists; the forward pass clamps each stage's global argmin into the
-    sliding feasibility window. Flat stretches resolve to their left end.
+    The backward pass builds the convex value-to-go functions as
+    breakpoints plus a derivative ``c*s + e`` per segment; the forward pass
+    clamps each stage's global argmin into the sliding feasibility window.
+    Flat stretches resolve to their left end.
     """
     R = len(tau)
-    win_bp: list = []
-    win_sl: list = [0.0]
+    tau, d_plus, d_minus, nu = tau.tolist(), d_plus.tolist(), d_minus.tolist(), nu.tolist()
+    curv = [0.0] * R if curvature is None else curvature.tolist()
+    bp: list = []
+    cs: list = [0.0]
+    es: list = [0.0]
     argmins = [0.0] * R
     for q in range(R - 1, -1, -1):
-        if d_plus[q] > 0.0 or d_minus[q] > 0.0:
-            bp_phi, sl_phi = [float(tau[q])], [float(nu[q] - d_minus[q]), float(nu[q] + d_plus[q])]
+        if curv[q] > 0.0:
+            c_q = 2.0 * curv[q]
+            e_q = nu[q] - c_q * tau[q]
+            cs = [c + c_q for c in cs]
+            es = [e + e_q for e in es]
+        elif d_plus[q] > 0.0 or d_minus[q] > 0.0:
+            t = tau[q]
+            p = bisect_left(bp, t)
+            if p == len(bp) or bp[p] != t:  # split segment p at the new kink
+                bp.insert(p, t)
+                cs.insert(p, cs[p])
+                es.insert(p, es[p])
+            lo, hi = nu[q] - d_minus[q], nu[q] + d_plus[q]
+            es = [e + lo for e in es[: p + 1]] + [e + hi for e in es[p + 1:]]
         else:
-            bp_phi, sl_phi = [], [float(nu[q])]
-        bp, sl = _pl_sum(bp_phi, sl_phi, win_bp, win_sl)
-        mstar = _leftmost_argmin(bp, sl)
+            es = [e + nu[q] for e in es]
+        mstar, j, inside = _leftmost_argmin(bp, cs, es)
         argmins[q] = mstar
         if q > 0:
-            win_bp, win_sl = _window_min(bp, sl, mstar)
+            bp, cs, es = _window_min(bp, cs, es, mstar, j, inside)
     a = np.empty(R)
     s_prev = 0.0
     for q in range(R):

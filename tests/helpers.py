@@ -79,3 +79,63 @@ def random_composite(seed, d, n_terms=4, allow_squared=True):
         return vals
 
     return f, sub, f_batch
+
+
+def legacy_chain_prefix_argmin(tau, d_plus, d_minus, nu):
+    """Frozen copy of the piecewise-linear-only prefix DP that preceded the
+    piecewise-quadratic one, kept as a bit-for-bit reference: value-to-go
+    functions are (breakpoints, slopes) lists."""
+
+    def slope_at(bp, sl, x_left):
+        idx = 0
+        while idx < len(bp) and bp[idx] <= x_left:
+            idx += 1
+        return sl[idx]
+
+    def pl_sum(bp_a, sl_a, bp_b, sl_b):
+        bp = sorted(set(bp_a) | set(bp_b))
+        sl = []
+        for idx in range(len(bp) + 1):
+            probe_left = bp[idx - 1] if idx > 0 else (bp[0] - 1.0 if bp else 0.0)
+            sl.append(slope_at(bp_a, sl_a, probe_left) + slope_at(bp_b, sl_b, probe_left))
+        return bp, sl
+
+    def leftmost_argmin(bp, sl):
+        for idx, s in enumerate(sl):
+            if s >= 0.0:
+                return -np.inf if idx == 0 else bp[idx - 1]
+        return np.inf
+
+    def window_min(bp, sl, argmin):
+        if argmin == -np.inf:
+            return list(bp), list(sl)
+        if argmin == np.inf:
+            return [b - 1.0 for b in bp], list(sl)
+        j = 0
+        while j < len(sl) and sl[j] < 0.0:
+            j += 1
+        new_bp = [b - 1.0 for b in bp[: j - 1]] + [argmin - 1.0, argmin] + list(bp[j:])
+        new_sl = list(sl[:j]) + [0.0] + list(sl[j:])
+        return new_bp, new_sl
+
+    R = len(tau)
+    win_bp, win_sl = [], [0.0]
+    argmins = [0.0] * R
+    for q in range(R - 1, -1, -1):
+        if d_plus[q] > 0.0 or d_minus[q] > 0.0:
+            bp_phi = [float(tau[q])]
+            sl_phi = [float(nu[q] - d_minus[q]), float(nu[q] + d_plus[q])]
+        else:
+            bp_phi, sl_phi = [], [float(nu[q])]
+        bp, sl = pl_sum(bp_phi, sl_phi, win_bp, win_sl)
+        mstar = leftmost_argmin(bp, sl)
+        argmins[q] = mstar
+        if q > 0:
+            win_bp, win_sl = window_min(bp, sl, mstar)
+    a = np.empty(R)
+    s_prev = 0.0
+    for q in range(R):
+        s = min(max(argmins[q], s_prev), s_prev + 1.0)
+        a[q] = s - s_prev
+        s_prev = s
+    return a

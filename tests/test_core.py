@@ -179,6 +179,40 @@ class TestInstanceValidation:
                      epochs=1, horizon=4, targets=np.array([[1.5]]),
                      dev_costs=uniform_dev_costs(np.array([[1.5]]), "absolute", 1.0))
 
+    @pytest.mark.parametrize("field", ["costs", "probs", "targets", "dev_costs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_name_their_field(self, field, bad):
+        kwargs = dict(costs=[[-0.5, 0.2]], feasible=[[True, True]], probs=np.array([1.0]),
+                      epochs=1, horizon=10, targets=np.array([[0.5, 0.5]]),
+                      dev_costs=((DeviationCost.absolute(1.0, 0.5),) * 2,))
+        if field == "dev_costs":
+            kwargs[field] = ((DeviationCost.absolute(1.0, 0.5), DeviationCost.squared(bad, 0.5)),)
+        elif field == "probs":
+            kwargs[field] = np.array([bad])
+        else:
+            kwargs[field] = np.where([[True, False]], bad, np.asarray(kwargs[field], dtype=float))
+        with pytest.raises(ValueError, match=field):
+            Instance(**kwargs)
+
+    @pytest.mark.parametrize("cost, delta, field", [("NaN", "1.0", "costs"),
+                                                    ("0.5", "Infinity", "dev_costs")])
+    def test_non_finite_json_fails_in_from_dict(self, cost, delta, field):
+        import json
+        text = ('{"m": 1, "n": 1, "K": 1, "T": 4, "costs": [[%s]], "feasible_sets": [[0]], '
+                '"probs": [1.0], "targets": [[0.5]], '
+                '"dev_costs": [[{"family": "absolute", "delta": %s, "target": 0.5}]]}' % (cost, delta))
+        with pytest.raises(ValueError, match=field):
+            Instance.from_dict(json.loads(text))
+
+    def test_non_finite_cost_vectors_rejected(self):
+        inst = Instance(costs=np.zeros((0, 2)), feasible=np.zeros((0, 2), dtype=bool), probs=None,
+                        epochs=1, horizon=2, targets=np.array([[0.5, 0.5]]),
+                        dev_costs=uniform_dev_costs(np.array([[0.5, 0.5]]), "absolute", 1.0),
+                        continuous=True)
+        omega = ArrivalSequence(cost_vectors=np.array([[0.1, -0.2], [np.nan, 0.3]]))
+        with pytest.raises(ValueError, match="cost_vectors"):
+            omega.validate_for(inst)
+
     def test_empty_feasible_set_is_allowed(self):
         inst = Instance(costs=[[1.0, -1.0], [0.5, 0.5]],
                         feasible=[[True, True], [False, False]],

@@ -217,3 +217,14 @@ class TestCli:
             json.dump({"T": 30, "m": 2, "n": 2, "seed": 4, "out": out}, fh)
         assert cli_main(["gen", "--config", cfg_path]) == 0
         assert os.path.exists(os.path.join(out, "instance.json"))
+
+    def test_config_file_with_required_flags(self, tmp_path):
+        import json
+        out = str(tmp_path / "exp")
+        assert cli_main(["gen", "--T", "30", "--m", "2", "--n", "2", "--out", out]) == 0
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"policy": "greedy", "seed": 3, "out": out}, fh)
+        assert cli_main(["run", "--instance", os.path.join(out, "instance.json"),
+                         "--config", cfg_path]) == 0
+        assert os.path.exists(os.path.join(out, "trace_greedy.csv"))

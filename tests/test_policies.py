@@ -3,6 +3,7 @@ instances, structural invariants, and the proxy-cost reconstruction."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from flowtarget import (
     ArrivalSequence,
@@ -79,20 +80,46 @@ def single_dev_instance(dev, T=10, K=1, cost=0.0):
                     allow_extended_targets=True)
 
 
+def aux_column_objective(inst, epoch, mu, prior, i):
+    """Resource ``i``'s coupled idealized-consumption objective and a
+    subgradient, both in the epoch-increment coordinates."""
+    grid = inst.dev_grid
+    x_unit = prior[i] * inst.K / inst.T
+    weights = np.arange(epoch + 1, inst.K + 1, dtype=float)
+    sq, tg = grid.is_squared[epoch:, i], grid.target[epoch:, i]
+    dp, dm = grid.d_plus[epoch:, i], grid.d_minus[epoch:, i]
+
+    def f(col):
+        gap = (x_unit + np.cumsum(col)) / weights - tg
+        vals = np.where(sq, dp * gap * gap, dp * np.maximum(gap, 0) + dm * np.maximum(-gap, 0))
+        return float((weights * vals).sum() + mu[:, i] @ col)
+
+    def sub(col):
+        gap = (x_unit + np.cumsum(col)) / weights - tg
+        sl = np.where(sq, 2 * dp * gap, np.where(gap > 0, dp, np.where(gap < 0, -dm, 0.0)))
+        return np.cumsum(sl[::-1])[::-1] + mu[:, i]
+    return f, sub
+
+
+def lbfgsb_objective(f, sub, R):
+    return float(minimize(f, np.full(R, 0.5), jac=sub, method="L-BFGS-B",
+                          bounds=[(0.0, 1.0)] * R).fun)
+
+
 class TestIdealizedConsumption:
     def test_small_price_tracks_target(self):
         inst = single_dev_instance(DeviationCost.absolute(1.0, 0.6))
-        a, _ = idealized_consumption(inst, 0, np.array([[0.5]]), np.zeros(1))
+        a = idealized_consumption(inst, 0, np.array([[0.5]]), np.zeros(1))
         assert a[0, 0] == pytest.approx(0.6, abs=1e-4)
 
     def test_large_price_drives_to_zero(self):
         inst = single_dev_instance(DeviationCost.absolute(1.0, 0.6))
-        a, _ = idealized_consumption(inst, 0, np.array([[2.0]]), np.zeros(1))
+        a = idealized_consumption(inst, 0, np.array([[2.0]]), np.zeros(1))
         assert a[0, 0] == pytest.approx(0.0, abs=1e-4)
 
     def test_flat_objective_when_no_penalty(self):
         inst = single_dev_instance(DeviationCost.zero())
-        a, _ = idealized_consumption(inst, 0, np.zeros((1, 1)), np.zeros(1))
+        a = idealized_consumption(inst, 0, np.zeros((1, 1)), np.zeros(1))
         assert 0.0 <= a[0, 0] <= 1.0  # any point is optimal; objective is 0
 
     def test_prior_consumption_validated(self):
@@ -108,43 +135,37 @@ class TestIdealizedConsumption:
         R = inst.K - epoch
         mu = rng.uniform(-1.5, 1.5, size=(R, inst.m))
         prior = np.floor(rng.uniform(0, epoch * inst.epoch_len + 1, size=inst.m))
-        a, _ = idealized_consumption(inst, epoch, mu, prior)
-        cfg = PolicyConfig(aux_budget=6000)
-        grid = inst.dev_grid
-        x_units = prior * inst.K / inst.T
-        weights = np.arange(epoch + 1, inst.K + 1, dtype=float)
-
-        def column_objective(i):
-            sq, tg = grid.is_squared[epoch:, i], grid.target[epoch:, i]
-            dp, dm = grid.d_plus[epoch:, i], grid.d_minus[epoch:, i]
-
-            def f(col):
-                arg = (x_units[i] + np.cumsum(col)) / weights
-                gap = arg - tg
-                vals = np.where(sq, dp * gap * gap,
-                                dp * np.maximum(gap, 0) + dm * np.maximum(-gap, 0))
-                return float((weights * vals).sum() + mu[:, i] @ col)
-
-            def sub(col):
-                arg = (x_units[i] + np.cumsum(col)) / weights
-                gap = arg - tg
-                sl = np.where(sq, 2 * dp * gap, np.where(gap > 0, dp, np.where(gap < 0, -dm, 0.0)))
-                return np.cumsum(sl[::-1])[::-1] + mu[:, i]
-            return f, sub
-
+        a = idealized_consumption(inst, epoch, mu, prior)
         for i in range(inst.m):
-            f, sub = column_objective(i)
+            f, sub = aux_column_objective(inst, epoch, mu, prior, i)
             res = solve_box_convex(f, sub, np.full(R, 0.5), budget=6000, rounds=10)
             assert f(a[:, i]) <= res.objective + 1e-6
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_families_match_grid_and_lbfgsb(self, seed):
+        inst = random_instance(seed + 300, max_m=2, max_K=4, max_T=80, allow_squared=True)
+        rng = np.random.default_rng(seed)
+        epoch = int(rng.integers(0, inst.K))
+        R = inst.K - epoch
+        mu = rng.uniform(-1.5, 1.5, size=(R, inst.m))
+        prior = np.floor(rng.uniform(0, epoch * inst.epoch_len + 1, size=inst.m))
+        a = idealized_consumption(inst, epoch, mu, prior)
+        for i in range(inst.m):
+            f, sub = aux_column_objective(inst, epoch, mu, prior, i)
+            got = f(a[:, i])
+            tol = 1e-9 * (1.0 + abs(got))
+            assert got <= grid_minimize(lambda pts: np.array([f(x) for x in pts]), R, pts=9)[1] + tol
+            assert got <= lbfgsb_objective(f, sub, R) + tol
+
     def test_squared_fallback_matches_grid(self):
+        # the all-squared column once took a subgradient fallback; it is now exact
         targets = np.array([[0.3], [0.6]])
         dev = tuple((DeviationCost.squared(1.5, float(t)),) for t in targets[:, 0])
         inst = Instance(costs=[[0.0]], feasible=[[True]], probs=np.array([1.0]), epochs=2,
                         horizon=20, targets=targets, dev_costs=dev)
         mu = np.array([[0.4], [-0.3]])
-        a, info = idealized_consumption(inst, 0, mu, np.zeros(1), config=PolicyConfig(aux_budget=6000))
-        assert info["fallback_calls"] == 1
+        a = idealized_consumption(inst, 0, mu, np.zeros(1))
+        f, sub = aux_column_objective(inst, 0, mu, np.zeros(1), 0)
 
         def f_batch(points):
             s = np.cumsum(points, axis=1)
@@ -154,8 +175,11 @@ class TestIdealizedConsumption:
                 vals = vals + w[q] * 1.5 * (s[:, q] / w[q] - targets[q, 0]) ** 2
             return vals
 
-        _, ref = grid_minimize(f_batch, 2)
-        assert f_batch(a[:, 0][None, :])[0] <= ref + 1e-3
+        got = f_batch(a[:, 0][None, :])[0]
+        assert got == pytest.approx(f(a[:, 0]), abs=1e-12)
+        tol = 1e-9 * (1.0 + abs(got))
+        assert got <= grid_minimize(f_batch, 2)[1] + tol
+        assert got <= lbfgsb_objective(f, sub, 2) + tol
 
 
 class TestProxyDualGd:

@@ -1,13 +1,15 @@
 """Box solver, closed-form deviation-plus-price minimizer, and the
-prefix-coupled exact piecewise-linear solver, all against grid oracles."""
+prefix-coupled exact chain solver, against grid, L-BFGS-B and frozen
+reference oracles."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from flowtarget.core import DeviationCost
 from flowtarget.solver import chain_prefix_argmin, min_dev_plus_price, solve_box_convex
 
-from helpers import grid_minimize, random_composite
+from helpers import grid_minimize, legacy_chain_prefix_argmin, random_composite
 
 
 class TestSolveBoxConvex:
@@ -86,17 +88,50 @@ class TestMinDevPlusPrice:
         np.testing.assert_array_equal(a, 0.0)
 
 
-def aux_objective_batched(tau, d_plus, d_minus, nu):
+def aux_objective_batched(tau, d_plus, d_minus, nu, curvature=None):
     """Batched version of the prefix-coupled objective for grid checking:
-    the linear term prices the consumption prefixes, as in the contract."""
+    the linear term prices the consumption prefixes, as in the contract;
+    stages with positive curvature are squared."""
+    curv = np.zeros(len(tau)) if curvature is None else curvature
+
     def f(points):
         s = np.cumsum(points, axis=1)
         vals = s @ nu
         for q in range(len(tau)):
             gap = s[:, q] - tau[q]
-            vals = vals + d_plus[q] * np.maximum(gap, 0.0) + d_minus[q] * np.maximum(-gap, 0.0)
+            if curv[q] > 0.0:
+                vals = vals + curv[q] * gap * gap
+            else:
+                vals = vals + d_plus[q] * np.maximum(gap, 0.0) + d_minus[q] * np.maximum(-gap, 0.0)
         return vals
     return f
+
+
+def lbfgsb_minimum(f_batch, tau, d_plus, d_minus, nu, curvature):
+    """L-BFGS-B over the increment box from its centre, with the objective's
+    (sub)gradient in increment coordinates."""
+    R = len(tau)
+
+    def grad(x):
+        gap = np.cumsum(x) - tau
+        kink = np.where(gap > 0, d_plus, np.where(gap < 0, -d_minus, 0.0))
+        slopes = np.where(curvature > 0, 2.0 * curvature * gap, kink) + nu
+        return np.cumsum(slopes[::-1])[::-1]
+
+    res = minimize(lambda x: float(f_batch(x[None, :])[0]), np.full(R, 0.5), jac=grad,
+                   method="L-BFGS-B", bounds=[(0.0, 1.0)] * R)
+    return float(res.fun)
+
+
+def random_chain(rng, R, squared_share):
+    """Random chain stages; a stage is squared with probability
+    ``squared_share``, otherwise piecewise linear (possibly flat)."""
+    tau = rng.uniform(-0.5, R + 0.5, size=R)
+    dp = np.where(rng.random(R) < 0.15, 0.0, rng.uniform(0.1, 3.0, R))
+    dm = np.where(rng.random(R) < 0.15, 0.0, rng.uniform(0.1, 3.0, R))
+    curv = np.where(rng.random(R) < squared_share, rng.uniform(0.05, 3.0, R), 0.0)
+    nu = rng.uniform(-1.5, 1.5, size=R)
+    return tau, dp, dm, nu, curv
 
 
 class TestChainPrefixArgmin:
@@ -125,3 +160,61 @@ class TestChainPrefixArgmin:
             f = aux_objective_batched(tau, dp, dm, nu)
             _, ref = grid_minimize(f, R, levels=7)
             assert f(a[None, :])[0] <= ref + 1e-9
+
+    @pytest.mark.parametrize("kind", ["uniform", "coinciding", "tiny"])
+    def test_piecewise_linear_matches_legacy_dp_bit_for_bit(self, kind):
+        # coinciding and tiny targets make equal breakpoints and b - 1 roundings
+        rng = np.random.default_rng(["uniform", "coinciding", "tiny"].index(kind))
+        for _ in range(1500):
+            R = int(rng.integers(1, 6))
+            tau, dp, dm, nu, _ = random_chain(rng, R, 0.0)
+            if kind == "coinciding":
+                tau = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], size=R)
+                dp, dm, nu = (np.round(v, 1) for v in (dp, dm, nu))
+            elif kind == "tiny":
+                tau = tau * 1e-16
+            want = legacy_chain_prefix_argmin(tau, dp, dm, nu)
+            assert np.array_equal(chain_prefix_argmin(tau, dp, dm, nu), want)
+            assert np.array_equal(chain_prefix_argmin(tau, dp, dm, nu, np.zeros(R)), want)
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_squared_and_mixed_match_grid_and_lbfgsb(self, R):
+        for seed in range(10 if R < 4 else 6):
+            rng = np.random.default_rng(seed + 97 * R)
+            tau, dp, dm, nu, curv = random_chain(rng, R, 1.0 if seed % 2 else 0.5)
+            a = chain_prefix_argmin(tau, dp, dm, nu, curv)
+            assert np.all(a >= 0.0) and np.all(a <= 1.0)
+            f = aux_objective_batched(tau, dp, dm, nu, curv)
+            got = f(a[None, :])[0]
+            tol = 1e-9 * (1.0 + abs(got))
+            assert got <= grid_minimize(f, R)[1] + tol
+            assert got <= lbfgsb_minimum(f, tau, dp, dm, nu, curv) + tol
+
+    def test_squared_single_stage_closed_form(self):
+        # d/ds [2 (s - 0.6)^2 + 0.4 s] = 0 at s = 0.5; a large price pins 0
+        a = chain_prefix_argmin(np.array([0.6]), np.zeros(1), np.zeros(1), np.array([0.4]),
+                                np.array([2.0]))
+        assert a[0] == pytest.approx(0.5, abs=1e-15)
+        a = chain_prefix_argmin(np.array([0.6]), np.zeros(1), np.zeros(1), np.array([9.0]),
+                                np.array([2.0]))
+        assert a[0] == 0.0
+
+    def test_interior_argmin_split_by_the_window(self):
+        # (s1 - 0.2)^2 + (s2 - 1.9)^2: stage 2's interior argmin 1.9 is out of
+        # reach, so s2 = s1 + 1 and 4 s1 - 2.2 = 0 gives s1 = 0.55
+        a = chain_prefix_argmin(np.array([0.2, 1.9]), np.zeros(2), np.zeros(2), np.zeros(2),
+                                np.ones(2))
+        np.testing.assert_allclose(a, [0.55, 1.0], rtol=0, atol=1e-15)
+
+    def test_quadratic_root_on_a_breakpoint(self):
+        # stage 2 (s - 1)^2 leaves breakpoints {0, 1}; stage 1 s^2 plus the
+        # window's 2 s has its root exactly at the breakpoint 0
+        a = chain_prefix_argmin(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2),
+                                np.ones(2))
+        np.testing.assert_array_equal(a, [0.0, 1.0])
+
+    def test_kink_argmin_on_a_quadratic_breakpoint(self):
+        # an absolute kink at 0.5 on top of the flat window of (s - 0.5)^2
+        a = chain_prefix_argmin(np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                                np.zeros(2), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(a, [0.5, 0.0])
