@@ -169,6 +169,10 @@ class DevGrid:
     target: np.ndarray      # (K, m)
     d_plus: np.ndarray      # (K, m); holds delta for squared
     d_minus: np.ndarray     # (K, m)
+    has_squared: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "has_squared", bool(self.is_squared.any()))
 
     @classmethod
     def from_costs(cls, dev_costs: Sequence[Sequence[DeviationCost]]) -> "DevGrid":
@@ -189,14 +193,22 @@ class DevGrid:
             arr.setflags(write=False)
         return cls(sq, tg, dp, dm)
 
+    def rows(self, rows) -> "DevGrid":
+        """The grid restricted to the epochs ``rows`` (an index array or a slice)."""
+        return DevGrid(self.is_squared[rows], self.target[rows], self.d_plus[rows], self.d_minus[rows])
+
     def evaluate(self, a: np.ndarray) -> np.ndarray:
         gap = a - self.target
         pl = self.d_plus * np.maximum(gap, 0.0) + self.d_minus * np.maximum(-gap, 0.0)
+        if not self.has_squared:
+            return pl
         return np.where(self.is_squared, self.d_plus * gap * gap, pl)
 
     def subgradient(self, a: np.ndarray) -> np.ndarray:
         gap = a - self.target
         pl = np.where(gap > 0.0, self.d_plus, np.where(gap < 0.0, -self.d_minus, 0.0))
+        if not self.has_squared:
+            return pl
         return np.where(self.is_squared, 2.0 * self.d_plus * gap, pl)
 
 

@@ -16,9 +16,11 @@ Two backends: ``exact-lp`` reformulates piecewise-linear deviation costs
 with epigraph variables and solves the resulting LP exactly (certified gap
 0, fractional relaxation); ``dual-subgradient`` ascends the Lagrangian dual
 with exact inner minimizations, recovers a feasible primal by averaging,
-and reports the primal-dual gap as its certificate. A brute-force
-enumerator over integral assignment sequences serves as the test oracle on
-tiny instances.
+and reports the primal-dual gap as its certificate. Its deviation-price
+table (:func:`~flowtarget.solver.dev_price_table`) and every other
+price-free array are built once per solve, so each dual step only prices
+them. A brute-force enumerator over integral assignment sequences serves
+as the test oracle on tiny instances.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .core import REJECT, ArrivalSequence, Instance
-from .solver import min_dev_plus_price
+from .solver import dev_price_table, min_dev_plus_price
 
 EXACT_LP = "exact-lp"
 DUAL_SUBGRADIENT = "dual-subgradient"
@@ -114,18 +116,17 @@ def _window_problem(instance: Instance, omega: ArrivalSequence | np.ndarray,
 
 
 def _dev_rows(instance: Instance, window: list[int]):
-    grid = instance.dev_grid
+    """The window's deviation grid and its per-epoch period counts."""
     rows = np.asarray(window, dtype=int)
-    dens = (rows + 1).astype(float) * instance.epoch_len
-    return (grid.is_squared[rows], grid.target[rows], grid.d_plus[rows],
-            grid.d_minus[rows], dens)
+    return instance.dev_grid.rows(rows), (rows + 1).astype(float) * instance.epoch_len
 
 
 def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     """Epigraph LP over the window; piecewise-linear families only."""
-    is_sq, tgt, dpl, dmi, dens = _dev_rows(instance, window)
-    if is_sq.any():
+    grid, dens = _dev_rows(instance, window)
+    if grid.has_squared:
         raise UnsupportedFamilyError("exact-lp supports only piecewise-linear deviation families")
+    tgt, dpl, dmi = grid.target, grid.d_plus, grid.d_minus
     n_eff, m = costs.shape
     W = len(window)
 
@@ -149,9 +150,7 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     n_var = len(obj)
     if n_var == 0:
         # Nothing to decide: no assignable arrivals and no penalties.
-        gap0 = prior[None, :] / dens[:, None] - tgt
-        base = float((dens[:, None] * (dpl * np.maximum(gap0, 0.0)
-                                       + dmi * np.maximum(-gap0, 0.0))).sum())
+        base = float((dens[:, None] * grid.evaluate(prior[None, :] / dens[:, None])).sum())
         return base, np.zeros((n_eff, m, instance.K))
 
     rows, cols, vals, rhs = [], [], [], []
@@ -197,12 +196,15 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     return float(res.fun), z
 
 
-def _dual_value_and_choice(costs, feas, caps, priced):
+def _dual_value_and_choice(cost_inf, caps, priced):
     """Inner assignment minimization of the Lagrangian: every unit of
-    availability goes to the cheapest price-adjusted option (or reject)."""
-    adj = np.where(feas[:, None, :], costs[:, None, :] - priced[None, :, :], np.inf)
+    availability goes to the cheapest price-adjusted option (or reject).
+    ``cost_inf`` holds the costs with infeasible options at +inf."""
+    adj = cost_inf[:, None, :] - priced[None, :, :]
     best_i = adj.argmin(axis=2)
-    best_v = np.take_along_axis(adj, best_i[:, :, None], axis=2)[:, :, 0]
+    # indexing the picks beats a min over the short last axis on long grids
+    flat = adj.reshape(best_i.size, -1)
+    best_v = flat[np.arange(best_i.size), best_i.ravel()].reshape(best_i.shape)
     assign = best_v <= 0.0
     value = float((caps * np.where(assign, best_v, 0.0)).sum())
     return value, np.where(assign, best_i, REJECT)
@@ -211,15 +213,17 @@ def _dual_value_and_choice(costs, feas, caps, priced):
 def _project_cell_simplex(v: np.ndarray) -> np.ndarray:
     """Project each row of ``v`` onto {s >= 0, sum(s) <= 1} (reject as slack)."""
     clipped = np.maximum(v, 0.0)
-    inside = clipped.sum(axis=-1) <= 1.0
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
+    outside = clipped.sum(axis=-1) > 1.0
+    if not outside.any():
+        return clipped
+    rows = v[outside]
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    css = u.cumsum(axis=-1) - 1.0
     ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
-    cond = u - css / ranks > 0
-    rho = np.maximum(cond.sum(axis=-1), 1)
-    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
-    on_face = np.maximum(v - theta, 0.0)
-    return np.where(inside[..., None], clipped, on_face)
+    rho = np.maximum((u - css / ranks > 0).sum(axis=-1), 1)
+    theta = (css[np.arange(len(rows)), rho - 1] / rho)[:, None]
+    clipped[outside] = np.maximum(rows - theta, 0.0)
+    return clipped
 
 
 def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
@@ -235,35 +239,31 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     choices over doubling windows. The reported gap is best primal minus
     best dual.
     """
-    is_sq, tgt, dpl, dmi, dens = _dev_rows(instance, window)
+    grid, dens = _dev_rows(instance, window)
     n_eff, m = costs.shape
     W = len(window)
+    dens_col = dens[:, None]
     mu = np.zeros((W, m))
-    live = (dpl > 0.0) | (dmi > 0.0)
+    dead = ~((grid.d_plus > 0.0) | (grid.d_minus > 0.0))
     best_dual = -np.inf
-    cost_grid = np.where(feas, costs, 0.0)
-    capsf = caps.astype(float)
-
-    def dev_value(avg):
-        gap_ = avg - tgt
-        return np.where(is_sq, dpl * gap_ * gap_,
-                        dpl * np.maximum(gap_, 0.0) + dmi * np.maximum(-gap_, 0.0))
-
-    def dev_slope(avg):
-        gap_ = avg - tgt
-        pl = np.where(gap_ > 0, dpl, np.where(gap_ < 0, -dmi, 0.0))
-        return np.where(is_sq, 2.0 * dpl * gap_, pl)
+    cost_cell = np.where(feas, costs, 0.0)[:, None, :]
+    cost_inf = np.where(feas, costs, np.inf)
+    infeasible = ~feas[:, None, :].repeat(W, axis=1)
+    available = caps > 0
+    caps_cell = caps.astype(float)[:, :, None]
+    table = dev_price_table(grid.is_squared, grid.target, grid.d_plus, grid.d_minus)
 
     def assemble(choice):
         counts = np.zeros((n_eff, W, m))
-        jj, ww = np.nonzero((choice != REJECT) & (caps > 0))
+        jj, ww = np.nonzero((choice != REJECT) & available)
         counts[jj, ww, choice[jj, ww]] = caps[jj, ww]
         return counts
 
-    def counts_value(counts):
-        cum = prior[None, :] + np.cumsum(counts.sum(axis=0), axis=0)
-        return float((counts * cost_grid[:, None, :]).sum()
-                     + (dens[:, None] * dev_value(cum / dens[:, None])).sum())
+    def averages(counts):
+        return (prior + counts.sum(axis=0).cumsum(axis=0)) / dens_col
+
+    def counts_value(counts, avg):
+        return float((counts * cost_cell).sum() + (dens_col * grid.evaluate(avg)).sum())
 
     avg_counts = np.zeros((n_eff, W, m))
     avg_n = 0
@@ -281,36 +281,33 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         mu = best_mu.copy()
         for s in range(1, per_round + 1):
             s_total += 1
-            priced = np.cumsum(mu[::-1], axis=0)[::-1]  # price for epoch w sums rows >= w
-            x_val, choice = _dual_value_and_choice(costs, feas, caps, priced)
-            a_star = min_dev_plus_price(is_sq, tgt, dpl, dmi, mu)
-            gap_a = a_star - tgt
-            dev_min = np.where(is_sq, dpl * gap_a * gap_a,
-                               dpl * np.maximum(gap_a, 0.0) + dmi * np.maximum(-gap_a, 0.0))
-            dual = x_val + float((dens[:, None] * (dev_min + mu * a_star)).sum()) \
-                - float((mu * prior[None, :]).sum())
+            priced = mu[::-1].cumsum(axis=0)[::-1]  # price for epoch w sums rows >= w
+            x_val, choice = _dual_value_and_choice(cost_inf, caps, priced)
+            a_star = min_dev_plus_price(table, mu)
+            dual = x_val + float((dens_col * (grid.evaluate(a_star) + mu * a_star)).sum()) \
+                - float((mu * prior).sum())
             if dual > best_dual:
                 best_dual = dual
                 best_mu = mu.copy()
 
             counts = assemble(choice)
-            per_cum = np.cumsum(counts.sum(axis=0), axis=0)
+            per_cum = counts.sum(axis=0).cumsum(axis=0)
             avg_counts += counts
             avg_n += 1
             if s_total == iterations or s_total & (s_total - 1) == 0:  # doubling windows
                 cand = avg_counts / avg_n
-                val = counts_value(cand)
+                val = counts_value(cand, averages(cand))
                 if best_avg is None or val < best_avg[0]:
                     best_avg = (val, cand)
                 if s_total < iterations:
                     avg_counts = np.zeros((n_eff, W, m))
                     avg_n = 0
 
-            g = dens[:, None] * a_star - prior[None, :] - per_cum
-            g[~live] = 0.0
+            g = dens_col * a_star - prior - per_cum
+            g[dead] = 0.0
             norm = float(np.sqrt((g * g).sum()))
             if norm == 0.0:
-                val = counts_value(counts)
+                val = counts_value(counts, averages(counts))
                 if best_avg is None or val < best_avg[0]:
                     best_avg = (val, counts)
                 stalled = True
@@ -321,7 +318,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     # Primal polish: descend the true objective over per-cell shares.
     best_primal, counts0 = best_avg
     with np.errstate(divide="ignore", invalid="ignore"):
-        shares = np.where(capsf[:, :, None] > 0, counts0 / capsf[:, :, None], 0.0)
+        shares = np.where(caps_cell > 0, counts0 / caps_cell, 0.0)
     best_shares = shares.copy()
     rounds, step0 = 8, 0.5
     per_round = max(recover_iters // rounds, 1)
@@ -330,20 +327,20 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         if done:
             break
         shares = best_shares.copy()
+        avg = averages(caps_cell * shares)
         for it in range(1, per_round + 1):
-            counts = capsf[:, :, None] * shares
-            cum = prior[None, :] + np.cumsum(counts.sum(axis=0), axis=0)
-            slope = dev_slope(cum / dens[:, None])
-            tail = np.cumsum(slope[::-1], axis=0)[::-1]       # sum over w' >= w
-            grad = capsf[:, :, None] * (cost_grid[:, None, :] + tail[None, :, :])
-            grad[~feas[:, None, :].repeat(W, axis=1)] = 0.0
+            tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]  # sum over w' >= w
+            grad = caps_cell * (cost_cell + tail[None, :, :])
+            grad[infeasible] = 0.0
             nrm = float(np.sqrt((grad * grad).sum()))
             if nrm == 0.0:
                 done = True
                 break
             shares = _project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
-            shares[~feas[:, None, :].repeat(W, axis=1)] = 0.0
-            val = counts_value(capsf[:, :, None] * shares)
+            shares[infeasible] = 0.0
+            counts = caps_cell * shares
+            avg = averages(counts)
+            val = counts_value(counts, avg)
             if val < best_primal:
                 best_primal = val
                 best_shares = shares.copy()
@@ -352,7 +349,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                 break
         step0 *= 0.3
 
-    counts = capsf[:, :, None] * best_shares
+    counts = caps_cell * best_shares
     z = np.zeros((n_eff, m, instance.K))
     for w, k in enumerate(window):
         z[:, :, k] = counts[:, w, :]
@@ -478,11 +475,7 @@ def brute_force_offline(instance: Instance, omega: ArrivalSequence,
             upto = dec[:, : (k + 1) * step]
             for i in range(m):
                 cum[:, k, i] = (upto == i).sum(axis=1)
-        avg = cum / dens[None, :, None]
-        gap = avg - grid.target[None]
-        dev = np.where(grid.is_squared[None], grid.d_plus[None] * gap * gap,
-                       grid.d_plus[None] * np.maximum(gap, 0.0)
-                       + grid.d_minus[None] * np.maximum(-gap, 0.0))
+        dev = grid.evaluate(cum / dens[None, :, None])
         vals = cost + (dens[None, :, None] * dev).sum(axis=(1, 2))
         idx = int(np.argmin(vals))
         if vals[idx] < best_val:
@@ -536,12 +529,7 @@ def cumulative_proxy_cost(instance: Instance, result, epoch: int) -> float:
     z = result.epoch_consumption[epoch - 1].astype(float) if epoch > 0 else np.zeros(m)
     cum = np.cumsum(counts[epoch:], axis=0)
     dens = (np.arange(epoch + 1, K + 1) * step).astype(float)
-    grid = instance.dev_grid
-    avg = (z[None, :] + cum) / dens[:, None]
-    gapv = avg - grid.target[epoch:]
-    dev = np.where(grid.is_squared[epoch:], grid.d_plus[epoch:] * gapv * gapv,
-                   grid.d_plus[epoch:] * np.maximum(gapv, 0.0)
-                   + grid.d_minus[epoch:] * np.maximum(-gapv, 0.0))
+    dev = instance.dev_grid.rows(slice(epoch, None)).evaluate((z[None, :] + cum) / dens[:, None])
     return assignment + float((dens[:, None] * dev).sum())
 
 
@@ -577,11 +565,7 @@ def proxy_cost_decomposition(instance: Instance, result) -> dict:
             z = result.epoch_consumption[k].astype(float)
             cum = np.cumsum(counts[k + 1:], axis=0)
             dens = (np.arange(k + 2, K + 1) * step).astype(float)
-            avg = (z[None, :] + cum) / dens[:, None]
-            gapv = avg - grid.target[k + 1:]
-            dev = np.where(grid.is_squared[k + 1:], grid.d_plus[k + 1:] * gapv * gapv,
-                           grid.d_plus[k + 1:] * np.maximum(gapv, 0.0)
-                           + grid.d_minus[k + 1:] * np.maximum(-gapv, 0.0))
+            dev = grid.rows(slice(k + 1, None)).evaluate((z[None, :] + cum) / dens[:, None])
             unimpl_dev += float((dens[:, None] * dev).sum())
     return {
         "proxy_total": proxy_total,

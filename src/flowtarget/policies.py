@@ -33,7 +33,7 @@ from .core import (
     Instance,
     deviation_cost_from_snapshots,
 )
-from .solver import chain_prefix_argmin, min_dev_plus_price
+from .solver import chain_prefix_argmin, dev_price_table, min_dev_plus_price
 from .solver import solve_box_convex  # noqa: F401 -- perfbench's tracer wraps this name here
 
 PROXY_NA = -2  # proxy slot for epochs already in the past
@@ -298,6 +298,7 @@ def _single_row_loop(instance, arrivals, t0, t1, row, dev_row, mu0, eta,
     """Single-epoch dynamics over periods [t0, t1) using dual row ``row`` of the trace."""
     is_sq, tgt, dpl, dmi = dev_row
     flat = (dpl == 0.0) & (dmi == 0.0)
+    table = dev_price_table(is_sq, tgt, dpl, dmi)
     mu = mu0.copy()
     assignment = 0.0
     for t in range(t0, t1):
@@ -313,7 +314,7 @@ def _single_row_loop(instance, arrivals, t0, t1, row, dev_row, mu0, eta,
             by_type[max(j, 0), x] += 1
             assignment += float(cvec[x])
             x_ind[x] = 1.0
-        a = min_dev_plus_price(is_sq, tgt, dpl, dmi, mu)
+        a = min_dev_plus_price(table, mu)
         a = _pin_flat(a, x_ind, mu, flat)
         a_trace[t, row] = a
         mu = mu + eta * (a - x_ind)
@@ -434,6 +435,9 @@ def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
     assignment = 0.0
     for t in range(T):
         k = t // step
+        if t % step == 0:
+            table = dev_price_table(grid.is_squared[k:], grid.target[k:],
+                                    grid.d_plus[k:], grid.d_minus[k:])
         mu_trace[t] = mu
         j, cvec, feas = _arrival(instance, arrivals, t)
         price = mu[k:].sum(axis=0)
@@ -447,8 +451,7 @@ def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
             by_type[max(j, 0), x] += 1
             assignment += float(cvec[x])
             x_ind[x] = 1.0
-        a = min_dev_plus_price(grid.is_squared[k:], grid.target[k:],
-                               grid.d_plus[k:], grid.d_minus[k:], mu[k:])
+        a = min_dev_plus_price(table, mu[k:])
         a = _pin_flat(a, np.broadcast_to(x_ind, (K - k, m)), mu[k:], flat_rows[k:])
         a_trace[t, k:] = a
         mu[k:] += eta * (a - x_ind[None, :])

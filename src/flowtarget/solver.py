@@ -5,10 +5,13 @@ Three tools live here:
 * :func:`solve_box_convex` -- generic projected subgradient descent over a
   box, with diminishing steps, warm starts, and best-iterate tracking (no
   policy uses it; acceptance criterion 10 certifies it on its own).
-* :func:`min_dev_plus_price` -- exact vectorized minimizer of
-  ``g(a) + price * a`` over ``a in [0, 1]`` for a grid of deviation costs
-  (the per-epoch idealized-consumption step of the single-epoch policies,
-  and the inner minimization of the Lagrangian dual).
+* :func:`dev_price_table` and :func:`min_dev_plus_price` -- exact
+  vectorized minimizer of ``g(a) + price * a`` over ``a in [0, 1]`` for a
+  grid of deviation costs (the per-epoch idealized-consumption step of the
+  single-epoch policies, and the inner minimization of the Lagrangian
+  dual). The table holds the price-free part of the answer and is built
+  once per grid of cells; each price then costs one argmin over three
+  candidate points.
 * :func:`chain_prefix_argmin` -- exact minimizer of the coupled multi-epoch
   idealized-consumption objective for every deviation family, via a tiny
   dynamic program over prefix variables whose value-to-go functions are
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,25 +90,41 @@ def solve_box_convex(
     return BoxSolveResult(best_x, best_f, used, converged or improvement < tol)
 
 
-def min_dev_plus_price(is_squared: np.ndarray, target: np.ndarray,
-                       d_plus: np.ndarray, d_minus: np.ndarray,
-                       price: np.ndarray) -> np.ndarray:
+class DevPriceTable(NamedTuple):
+    """Price-free part of :func:`min_dev_plus_price` for one grid of cells."""
+
+    pts: np.ndarray      # (3, ...) candidate points {0, clip(target), 1}
+    dev_pts: np.ndarray  # (3, ...) piecewise-linear penalty at each point
+    squared: Optional[tuple]  # (mask, target, d+ > 0, 2 d+ or 1); None without squared cells
+
+
+def dev_price_table(is_squared: np.ndarray, target: np.ndarray,
+                    d_plus: np.ndarray, d_minus: np.ndarray) -> DevPriceTable:
+    """Build the table that :func:`min_dev_plus_price` prices."""
+    tgt = np.clip(target, 0.0, 1.0)
+    pts = np.stack([np.zeros_like(tgt), tgt, np.ones_like(tgt)])
+    gap = pts - target
+    dev_pts = d_plus * np.maximum(gap, 0.0) + d_minus * np.maximum(-gap, 0.0)
+    squared = None
+    if np.any(is_squared):
+        pos = d_plus > 0
+        squared = (is_squared, target, pos, np.where(pos, 2.0 * d_plus, 1.0))
+    return DevPriceTable(pts, dev_pts, squared)
+
+
+def min_dev_plus_price(table: DevPriceTable, price: np.ndarray) -> np.ndarray:
     """Exact argmin over [0, 1] of ``g(a) + price * a``, elementwise.
 
     Piecewise-linear families are minimized at one of {0, clip(target), 1};
     the squared family has the closed form ``clip(target - price / (2 d))``.
     Ties go to the smallest candidate, so a flat objective returns 0.
     """
-    tgt = np.clip(target, 0.0, 1.0)
-    pts = np.stack([np.zeros_like(tgt), tgt, np.ones_like(tgt)])
-    gap = pts - target
-    cand = d_plus * np.maximum(gap, 0.0) + d_minus * np.maximum(-gap, 0.0) + price * pts
-    pick = np.argmin(cand, axis=0)
-    pl = np.take_along_axis(pts, pick[None], axis=0)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.clip(target - price / (2.0 * d_plus), 0.0, 1.0)
-    sq = np.where(d_plus > 0, sq, np.where(price < 0, 1.0, 0.0))
-    return np.where(is_squared, sq, pl)
+    a = np.argmin(table.dev_pts + price * table.pts, axis=0).choose(table.pts)
+    if table.squared is None:
+        return a
+    mask, target, pos, den = table.squared
+    sq = np.where(pos, np.clip(target - price / den, 0.0, 1.0), np.where(price < 0, 1.0, 0.0))
+    return np.where(mask, sq, a)
 
 
 def _leftmost_argmin(bp: list, cs: list, es: list) -> tuple[float, int, bool]:

@@ -139,3 +139,18 @@ def legacy_chain_prefix_argmin(tau, d_plus, d_minus, nu):
         a[q] = s - s_prev
         s_prev = s
     return a
+
+
+def legacy_min_dev_plus_price(is_squared, target, d_plus, d_minus, price):
+    """Frozen copy of the one-call deviation-plus-price minimizer that
+    preceded the table/price split, kept as a bit-for-bit reference."""
+    tgt = np.clip(target, 0.0, 1.0)
+    pts = np.stack([np.zeros_like(tgt), tgt, np.ones_like(tgt)])
+    gap = pts - target
+    cand = d_plus * np.maximum(gap, 0.0) + d_minus * np.maximum(-gap, 0.0) + price * pts
+    pick = np.argmin(cand, axis=0)
+    pl = np.take_along_axis(pts, pick[None], axis=0)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.clip(target - price / (2.0 * d_plus), 0.0, 1.0)
+    sq = np.where(d_plus > 0, sq, np.where(price < 0, 1.0, 0.0))
+    return np.where(is_squared, sq, pl)

@@ -1,6 +1,8 @@
 """Offline benchmarks: closed forms, brute-force sandwich, backend
 agreement, window degeneracies, and the proxy-cost bookkeeping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,14 @@ from flowtarget import (
     uniform_dev_costs,
 )
 from flowtarget.instances import (
+    generate_synthetic,
     idle_then_full_instance,
     random_instance,
     sample_arrivals,
     sample_gumbel_arrivals,
     zero_cost_two_target_instance,
     GumbelCostModel,
+    SyntheticParams,
 )
 from flowtarget.oracle import (
     DUAL_SUBGRADIENT,
@@ -221,3 +225,41 @@ class TestCumulativeProxyCost:
         r = POLICIES["smart-me"](inst, omega, None)
         with pytest.raises(ValueError, match="proxy"):
             cumulative_proxy_cost(inst, r, 0)
+
+
+def pinned_dual_problem(kind):
+    """Small typed-absolute, squared and continuous hindsight problems."""
+    if kind == "continuous":
+        model = GumbelCostModel(locations=np.array([[-0.33, 1.27, 0.21]]), rate=4.0)
+        targets = np.array([[0.3, 0.05, 0.2], [0.6, 0.1, 0.4], [0.3, 0.05, 0.2]])
+        inst = Instance(costs=np.zeros((0, 3)), feasible=np.zeros((0, 3), dtype=bool),
+                        probs=None, epochs=3, horizon=60, targets=targets,
+                        dev_costs=uniform_dev_costs(targets, "absolute", 1.0), continuous=True)
+        return inst, sample_gumbel_arrivals(model, inst.T, seed=7)
+    inst = generate_synthetic(SyntheticParams(T=60, delta=1.0, gamma=2.0, seed=7))
+    if kind == "squared":
+        inst = Instance(costs=inst.costs, feasible=inst.feasible, probs=inst.probs,
+                        epochs=inst.K, horizon=inst.T, targets=inst.targets,
+                        dev_costs=uniform_dev_costs(inst.targets, "squared", 1.0))
+    return inst, sample_arrivals(inst, 7)
+
+
+class TestDualBackendPinned:
+    # objective, dual bound and the SHA-256 of the counts' bytes, recorded
+    # from the dual backend before its deviation-price table and hoisted
+    # loop invariants; those changes must not move a single bit.
+    PINNED = {
+        "typed": (-10.506631665729852, -10.520643673029186,
+                  "a739da11719b8d9dbe7313dc8fb0c6f16db43421ab2b82c9c5756e12083715cf"),
+        "squared": (-37.21144526690611, -37.213839062277366,
+                    "f6366d77aa6123512ff74baeb5023062b7b2245d533c3646c446ab58c0673785"),
+        "continuous": (-42.285569340832915, -42.289102096419846,
+                       "46b73d93e61a4faa98a433c7f55453c2db157ddfdaa055d68e33c3cdedabadd9"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_outputs_are_bit_identical_to_recorded(self, kind):
+        inst, omega = pinned_dual_problem(kind)
+        ds = hindsight_optimum(inst, omega, backend=DUAL_SUBGRADIENT, dual_iters=2000)
+        digest = hashlib.sha256(np.ascontiguousarray(ds.counts).tobytes()).hexdigest()
+        assert (ds.objective, ds.dual_bound, digest) == self.PINNED[kind]

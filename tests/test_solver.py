@@ -7,9 +7,19 @@ import pytest
 from scipy.optimize import minimize
 
 from flowtarget.core import DeviationCost
-from flowtarget.solver import chain_prefix_argmin, min_dev_plus_price, solve_box_convex
+from flowtarget.solver import (
+    chain_prefix_argmin,
+    dev_price_table,
+    min_dev_plus_price,
+    solve_box_convex,
+)
 
-from helpers import grid_minimize, legacy_chain_prefix_argmin, random_composite
+from helpers import (
+    grid_minimize,
+    legacy_chain_prefix_argmin,
+    legacy_min_dev_plus_price,
+    random_composite,
+)
 
 
 class TestSolveBoxConvex:
@@ -75,17 +85,43 @@ class TestMinDevPlusPrice:
         else:
             g = DeviationCost.squared(float(rng.uniform(0.1, 3.0)), target)
         mu = float(rng.uniform(-2.0, 2.0))
-        a = min_dev_plus_price(np.array([[g.family == "squared"]]),
-                               np.array([[g.target]]), np.array([[g.delta_plus]]),
-                               np.array([[g.delta_minus]]), np.array([[mu]]))[0, 0]
+        table = dev_price_table(np.array([[g.family == "squared"]]), np.array([[g.target]]),
+                                np.array([[g.delta_plus]]), np.array([[g.delta_minus]]))
+        a = min_dev_plus_price(table, np.array([[mu]]))[0, 0]
         grid = np.linspace(0, 1, 100001)
         vals = np.array([g.evaluate(x, check_domain=False) for x in grid]) + mu * grid
         assert g.evaluate(a, check_domain=False) + mu * a <= vals.min() + 1e-9
 
     def test_flat_returns_zero(self):
-        a = min_dev_plus_price(np.zeros((1, 2), dtype=bool), np.zeros((1, 2)),
-                               np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
-        np.testing.assert_array_equal(a, 0.0)
+        table = dev_price_table(np.zeros((1, 2), dtype=bool), np.zeros((1, 2)),
+                                np.zeros((1, 2)), np.zeros((1, 2)))
+        np.testing.assert_array_equal(min_dev_plus_price(table, np.zeros((1, 2))), 0.0)
+
+    @pytest.mark.parametrize("squared_share", [0.0, 0.3])
+    def test_bit_identical_to_frozen_one_call_minimizer(self, squared_share):
+        # Dyadic weights, targets and prices make exact ties between
+        # candidate points common; targets reach outside [0, 1], a fifth of
+        # the weights are zero (squared cells with d+ = 0 included), and
+        # every table is priced at zero, at +-d+ and +-d- and at random.
+        rng = np.random.default_rng(int(squared_share * 10))
+        dyadic = np.arange(-12, 13) / 4.0
+        draws = 0
+        for batch in range(20):
+            shape = (500,) if batch % 2 else (4, 125)
+            is_sq = rng.random(shape) < squared_share
+            target = np.where(rng.random(shape) < 0.5, rng.choice(dyadic, shape) / 2.0,
+                              rng.uniform(-0.5, 1.5, shape))
+            d_plus, d_minus = (np.where(rng.random(shape) < 0.2, 0.0, rng.choice(dyadic[13:], shape))
+                               for _ in range(2))
+            table = dev_price_table(is_sq, target, d_plus, d_minus)
+            for price in (np.zeros(shape), d_plus, -d_plus, d_minus, -d_minus,
+                          rng.choice(dyadic, shape), rng.uniform(-3.0, 3.0, shape)):
+                got = min_dev_plus_price(table, price)
+                ref = legacy_min_dev_plus_price(is_sq, target, d_plus, d_minus, price)
+                assert np.array_equal(got, ref)
+                assert got.tobytes() == ref.tobytes()
+                draws += got.size
+        assert draws >= 20_000
 
 
 def aux_objective_batched(tau, d_plus, d_minus, nu, curvature=None):
