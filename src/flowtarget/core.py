@@ -8,8 +8,9 @@ cost of a run is the realized assignment cost plus, for each epoch ``k``,
 ``(kT/K) * g_ki(running average consumption of i through epoch k)``.
 
 All types here are immutable after construction and safe to share across
-parallel workers; :class:`ConsumptionState` is the one mutable accumulator
-and is single-writer per run.
+parallel workers, except the :class:`ConsumptionState` a replay returns. A
+run is accounted in one place: the checked, vectorized per-period ledger of
+its decisions behind :func:`replay_decisions` and :func:`export_trace_csv`.
 """
 
 from __future__ import annotations
@@ -424,6 +425,12 @@ class ArrivalSequence:
             if not np.all(np.isfinite(self.cost_vectors)):
                 raise ValueError("cost_vectors must be finite")
 
+    def per_period(self, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, m) cost vector and feasibility mask of each period's arrival."""
+        if self.types is None:
+            return self.cost_vectors, np.ones(self.cost_vectors.shape, dtype=bool)
+        return instance.costs[self.types], instance.feasible[self.types]
+
     def type_counts(self, instance: Instance, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Arrival counts per type over periods (lo, hi], 0-based half-open."""
         if self.types is None:
@@ -454,11 +461,11 @@ class ArrivalSequence:
 
 
 class ConsumptionState:
-    """Cumulative assignment counts for one run; single-writer.
+    """Assignment counts of one run, as :func:`replay_decisions` returns them.
 
-    Tracks ``by_type[j, i]`` (assignments of type j to resource i so far),
-    per-resource totals, per-type arrival counts, and per-resource snapshots
-    taken at each epoch end.
+    Holds ``by_type[j, i]`` (assignments of type j to resource i), per-resource
+    totals, per-type arrival counts, and per-resource snapshots taken at each
+    epoch end.
     """
 
     def __init__(self, n: int, m: int):
@@ -467,39 +474,74 @@ class ConsumptionState:
         self.arrivals = np.zeros(max(n, 1), dtype=np.int64)
         self.snapshots: list[np.ndarray] = []
 
-    def record(self, type_index: int, decision: int) -> None:
-        self.arrivals[max(type_index, 0)] += 1
-        if decision != REJECT:
-            self.by_type[max(type_index, 0), decision] += 1
-            self.totals[decision] += 1
-
-    def close_epoch(self) -> None:
-        self.snapshots.append(self.totals.copy())
-
     def check(self) -> None:
         if np.any(self.by_type < 0) or np.any(self.by_type.sum(axis=1) > self.arrivals):
             raise AssertionError("assignments exceed arrivals")
 
 
+def validate_decisions(instance: Instance, arrivals: ArrivalSequence,
+                       decisions: np.ndarray) -> np.ndarray:
+    """Check a decision sequence against the instance and its arrivals.
+
+    A valid sequence holds one integer per period, each ``REJECT`` or a
+    resource feasible for that period's arrival (every resource is feasible
+    in continuous mode). Returns it as an int64 array; otherwise raises a
+    ``ValueError`` naming the first bad period (0-based).
+    """
+    arrivals.validate_for(instance)
+    T, m = instance.T, instance.m
+    d = np.asarray(decisions)
+    if d.ndim != 1 or not np.issubdtype(d.dtype, np.integer):
+        raise ValueError("decisions must be a one-dimensional integer sequence")
+    if len(d) != T:
+        raise ValueError(f"decision sequence has length {len(d)}, expected {T}: "
+                         f"period {min(len(d), T)} is the first bad one")
+    d = d.astype(np.int64)
+    _, feasible = arrivals.per_period(instance)
+    ok = (d == REJECT) | ((d >= 0) & (d < m) & feasible[np.arange(T), np.clip(d, 0, m - 1)])
+    if not ok.all():
+        t = int(np.argmin(ok))
+        raise ValueError(f"decision {d[t]} at period {t} is neither a reject ({REJECT}) "
+                         f"nor a resource feasible for that period's arrival")
+    return d
+
+
+def _ledger(instance: Instance, arrivals: ArrivalSequence,
+            decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-period accounting of a decision sequence, checked first.
+
+    Returns the assignment cost realized in each period (0 on a reject), the
+    (T, m) per-resource totals after each period and the (max(n, 1), m)
+    assignment counts by arrival type (one row in continuous mode).
+    """
+    d = validate_decisions(instance, arrivals, decisions)
+    T, m = instance.T, instance.m
+    t = np.flatnonzero(d != REJECT)
+    i = d[t]
+    costs = np.zeros(T)
+    costs[t] = arrivals.per_period(instance)[0][t, i]
+    taken = np.zeros((T, m), dtype=np.int64)
+    taken[t, i] = 1
+    j = arrivals.types[t] if arrivals.types is not None else 0
+    rows = max(instance.n, 1)
+    return costs, np.cumsum(taken, axis=0), np.bincount(j * m + i, minlength=rows * m).reshape(rows, m)
+
+
 def replay_decisions(instance: Instance, arrivals: ArrivalSequence,
                      decisions: np.ndarray) -> tuple[ConsumptionState, float]:
     """Re-run a decision sequence through the accounting, returning the
-    consumption state (with epoch snapshots) and the realized assignment cost."""
-    arrivals.validate_for(instance)
-    T, K = instance.T, instance.K
-    step = T // K
+    consumption state (with epoch snapshots) and the realized assignment cost.
+
+    The sequence is checked first (see :func:`validate_decisions`). The
+    assignment cost is summed period by period, in order.
+    """
+    costs, running, by_type = _ledger(instance, arrivals, decisions)
     state = ConsumptionState(instance.n, instance.m)
-    assignment = 0.0
-    for t in range(T):
-        d = int(decisions[t])
-        j = int(arrivals.types[t]) if arrivals.types is not None else -1
-        if d != REJECT:
-            assignment += float(instance.costs[j, d]) if not instance.continuous \
-                else float(arrivals.cost_vectors[t, d])
-        state.record(j, d)
-        if (t + 1) % step == 0:
-            state.close_epoch()
-    return state, assignment
+    state.by_type, state.totals = by_type, running[-1].copy()
+    state.arrivals = arrivals.type_counts(instance) if arrivals.types is not None else np.array([instance.T])
+    step = instance.epoch_len
+    state.snapshots = list(running[step - 1::step].copy())
+    return state, float(np.add.accumulate(costs)[-1])
 
 
 def total_cost(instance: Instance, state: ConsumptionState,
@@ -507,26 +549,28 @@ def total_cost(instance: Instance, state: ConsumptionState,
     """Assignment + scaled deviation cost of a completed run.
 
     The deviation part charges ``(kT/K) * g_ki(Z_i(kT/K) / (kT/K))`` for each
-    epoch ``k`` and resource ``i`` from the recorded epoch-end snapshots. In
-    discrete mode the assignment part is recomputed from ``state.by_type``;
-    continuous mode must pass the realized ``assignment_cost``.
+    epoch ``k`` and resource ``i`` from the recorded epoch-end snapshots (see
+    :func:`deviation_cost_from_snapshots`); each running average must lie in
+    [0, 1]. In discrete mode the assignment part is recomputed from
+    ``state.by_type``; continuous mode must pass the realized
+    ``assignment_cost``.
 
     Returns ``(assignment, deviation, total)``.
     """
-    K, T = instance.K, instance.T
+    K = instance.K
     if len(state.snapshots) != K:
         raise ValueError(f"expected {K} epoch snapshots, found {len(state.snapshots)}")
     if assignment_cost is None:
         if instance.continuous:
             raise ValueError("continuous-cost mode requires the realized assignment cost")
         assignment_cost = float(np.sum(instance.costs * state.by_type))
-    deviation = 0.0
-    for k in range(K):
-        periods = (k + 1) * T // K
-        avg = state.snapshots[k].astype(float) / periods
-        deviation += periods * sum(
-            instance.dev_costs[k][i].evaluate(avg[i]) for i in range(instance.m)
-        )
+    snapshots = np.asarray(state.snapshots, dtype=float)
+    avg = snapshots / (np.arange(1, K + 1) * instance.epoch_len)[:, None]
+    outside = ~((avg >= -_DOMAIN_TOL) & (avg <= 1.0 + _DOMAIN_TOL))
+    if outside.any():
+        k, i = np.argwhere(outside)[0]
+        raise ValueError(f"consumption rate {avg[k, i]} outside [0, 1] at epoch {k}, resource {i}")
+    deviation = deviation_cost_from_snapshots(instance, snapshots)
     return float(assignment_cost), deviation, float(assignment_cost) + deviation
 
 
@@ -556,24 +600,20 @@ def export_trace_csv(path: str, instance: Instance, arrivals: ArrivalSequence,
     header += [f"mu_{k + 1}_{i + 1}" for k in range(K) for i in range(m)]
     header += [f"running_avg_{i + 1}" for i in range(m)]
     header += ["cost_so_far"]
-    totals = np.zeros(m, dtype=np.int64)
-    cost = 0.0
+    costs, running, _ = _ledger(instance, arrivals, run_result.decisions)
+    # each epoch end adds its deviation charge right after that period's cost
+    periods = np.arange(1, K + 1) * step
+    charges = instance.dev_grid.evaluate(running[step - 1::step] / periods[:, None])
+    charges = periods * np.add.accumulate(charges, axis=1)[:, -1]
+    ts = np.arange(T)
+    so_far = np.add.accumulate(np.insert(costs, periods, charges))[ts + (ts + 1) // step]
+    values = np.hstack([run_result.mu_trace[:T].reshape(T, K * m), running / (ts + 1)[:, None],
+                        so_far[:, None]])
+    types = arrivals.types.tolist() if arrivals.types is not None else [-1] * T
+    decisions = np.asarray(run_result.decisions).tolist()
     lines = [",".join(header)]
-    for t in range(T):
-        d = int(run_result.decisions[t])
-        j = int(arrivals.types[t]) if arrivals.types is not None else -1
-        if d != REJECT:
-            totals[d] += 1
-            cost += float(instance.costs[j, d]) if not instance.continuous \
-                else float(arrivals.cost_vectors[t, d])
-        if (t + 1) % step == 0:
-            k = t // step
-            avg = totals.astype(float) / (t + 1)
-            cost += (t + 1) * sum(instance.dev_costs[k][i].evaluate(avg[i]) for i in range(m))
-        row = [str(t + 1), str(t // step + 1), str(j + 1), str(d + 1)]
-        row += [f"{v:.12g}" for v in run_result.mu_trace[t].ravel()]
-        row += [f"{v:.12g}" for v in (totals / (t + 1))]
-        row += [f"{cost:.12g}"]
-        lines.append(",".join(row))
+    for t, vals in enumerate(values.tolist()):
+        row = [str(t + 1), str(t // step + 1), str(types[t] + 1), str(decisions[t] + 1)]
+        lines.append(",".join(row + [f"{v:.12g}" for v in vals]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -29,6 +29,7 @@ from .core import (
     DeviationCost,
     Instance,
     uniform_dev_costs,
+    validate_decisions,
 )
 from .rng import rng_stream
 
@@ -486,8 +487,10 @@ def nonstationary_total_cost(instance: Instance, profile: NonstatProfile,
     Per-arrival mode charges ``l_<=k T * g_ki(Z_i(l_<=k T) / (l_<=k T))`` at
     each original epoch end; per-period mode charges
     ``(kT/K) * g_ki(Z_i(l_<=k T) / (kT/K))``, whose argument may exceed 1
-    when arrivals are front-loaded.
+    when arrivals are front-loaded. The decision sequence is checked as in
+    :func:`flowtarget.core.replay_decisions`.
     """
+    decisions = validate_decisions(instance, arrivals, decisions)
     counts = profile.counts(instance.T)
     cum = np.cumsum(counts)
     totals = np.zeros(instance.m)

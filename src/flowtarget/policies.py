@@ -1,15 +1,22 @@
 """Online control policies for throughput-constrained allocation.
 
 Every policy is a pure function ``(instance, arrivals, config) -> RunResult``;
-identical inputs produce identical runs. The policies are:
+identical inputs produce identical runs. All of them follow one primal-dual
+template -- assign at the dual-adjusted cost, solve for the idealized
+consumption, take an OGD step on the prices -- and all run on one
+per-period loop, :func:`_simulate`. A policy supplies only an epoch-start
+hook, its assignment price row and a post-decision update; the run's
+totals, per-type counts, epoch snapshots and costs are accounted once,
+after the loop, from the decisions by
+:func:`flowtarget.core.replay_decisions`. The policies are:
 
 * :func:`run_proxy_dual_gd` -- dual gradient descent with proxy assignments,
   one shadow-price row per epoch, future-epoch proxy decisions, a coupled
   idealized-consumption solve, and a per-epoch dual reset.
-* :func:`run_single_epoch_dgd` -- the single-epoch dual gradient descent
-  loop (assign / idealize / price-update); the K = 1 special case.
 * :func:`run_myopic` -- per-epoch single-epoch runs driven by epoch-local
   targets (variants ``me`` and ``smart-me``).
+* :func:`run_single_epoch_dgd` -- the single-epoch dual gradient descent
+  loop (assign / idealize / price-update): ``me`` at K = 1.
 * :func:`run_naive_primal_dual` -- one dual matrix, all future rows summed
   into the assignment price, per-row independent idealized consumption,
   no per-epoch reset.
@@ -22,7 +29,7 @@ is exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +39,7 @@ from .core import (
     ArrivalSequence,
     Instance,
     deviation_cost_from_snapshots,
+    replay_decisions,
 )
 from .solver import chain_prefix_argmin, dev_price_table, min_dev_plus_price
 from .solver import solve_box_convex  # noqa: F401 -- perfbench's tracer wraps this name here
@@ -172,32 +180,63 @@ def _zero_penalty_tail(instance: Instance) -> np.ndarray:
     return np.logical_and.accumulate(free[::-1], axis=0)[::-1]
 
 
-def _pin_flat(a: np.ndarray, x_ind: np.ndarray, mu: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Among minimizers of a flat coordinate pick the implemented decision,
-    which keeps a penalty-free coordinate's price at zero."""
+def _consumption_rows(m: int) -> np.ndarray:
+    """Row ``x`` is the consumption vector of decision ``x``; the last row,
+    which ``REJECT`` (-1) indexes, is zero."""
+    return np.vstack([np.eye(m), np.zeros(m)])
+
+
+def _step(mu: np.ndarray, a: np.ndarray, x_ind: np.ndarray, flat: np.ndarray, eta: float) -> np.ndarray:
+    """Take the OGD step on the price rows ``mu`` in place and return the
+    idealized consumptions ``a``. Among minimizers of a flat coordinate ``a``
+    takes the implemented decision, which keeps a penalty-free coordinate's
+    price at zero."""
     mask = flat & (mu == 0.0)
     if mask.any():
         a = a.copy()
-        a[mask] = x_ind[mask]
+        a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
+    mu += eta * (a - x_ind)
     return a
 
 
-def _arrival(instance, arrivals, t):
-    if arrivals.types is not None:
-        j = int(arrivals.types[t])
-        return j, instance.costs[j], instance.feasible[j]
-    return -1, arrivals.cost_vectors[t], _ALL_TRUE.setdefault(instance.m, np.ones(instance.m, dtype=bool))
+def _simulate(policy, instance, arrivals, eta, mu, epoch_start, price, update,
+              proxy_dec=None, shown=None) -> RunResult:
+    """The one per-period loop behind every policy.
 
-
-_ALL_TRUE: dict[int, np.ndarray] = {}
-
-
-def _finalize(policy, instance, arrivals, eta, decisions, mu_trace, a_trace,
-              proxy_dec, snapshots, by_type, assignment, diagnostics):
-    snapshots = np.asarray(snapshots, dtype=np.int64)
+    ``mu`` is the policy's (K, m) price matrix; the kernel traces it at the
+    start of every period and the policy updates it in place. At the first
+    period of epoch ``k``, ``epoch_start(k, totals)`` sees the per-resource
+    consumption so far and returns the rows of ``mu`` the epoch updates.
+    Each period implements :func:`proxy_assign` at the price row
+    ``price(k)``; ``update(t, k, x, cvec, feasible)`` then takes the
+    policy's step on ``mu`` and returns the idealized consumptions of those
+    rows (None when the policy has no prices). ``shown`` is an optional
+    (T + 1, K) mask of the trace rows the policy reports; the rest read 0.
+    Run costs are accounted once, after the loop, from the decisions.
+    """
+    arrivals.validate_for(instance)
+    T, K, m = instance.T, instance.K, instance.m
+    step = instance.epoch_len
+    decisions = np.full(T, REJECT, dtype=np.int16)
+    mu_trace = np.zeros((T + 1, K, m))
+    a_trace = np.zeros((T, K, m))
+    for t, (cvec, feas) in enumerate(zip(*arrivals.per_period(instance))):
+        k = t // step
+        if t % step == 0:
+            rows = epoch_start(k, np.bincount(decisions[:t] + 1, minlength=m + 1)[1:])
+        mu_trace[t] = mu
+        x = proxy_assign(cvec, feas, price(k))
+        decisions[t] = x
+        a = update(t, k, x, cvec, feas)
+        if a is not None:
+            a_trace[t, rows] = a
+    mu_trace[T] = mu
+    if shown is not None:
+        mu_trace[~shown] = 0.0
+    state, assignment = replay_decisions(instance, arrivals, decisions)
+    snapshots = np.array(state.snapshots)
     deviation = deviation_cost_from_snapshots(instance, snapshots)
-    periods = (np.arange(1, instance.K + 1) * instance.epoch_len)[:, None]
-    running = snapshots / periods
+    running = snapshots / (np.arange(1, K + 1) * step)[:, None]
     return RunResult(
         policy=policy,
         eta=eta,
@@ -207,13 +246,12 @@ def _finalize(policy, instance, arrivals, eta, decisions, mu_trace, a_trace,
         a_trace=a_trace,
         proxy_decisions=proxy_dec,
         epoch_consumption=snapshots,
-        by_type_final=by_type,
-        assignment_cost=float(assignment),
-        deviation_cost=float(deviation),
-        total_cost=float(assignment) + float(deviation),
+        by_type_final=state.by_type,
+        assignment_cost=assignment,
+        deviation_cost=deviation,
+        total_cost=assignment + deviation,
         running_avg=running,
         abs_deviation=np.abs(running - instance.targets),
-        diagnostics=diagnostics,
     )
 
 
@@ -232,94 +270,29 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
     idealized consumption.
     """
     config = config or PolicyConfig()
-    arrivals.validate_for(instance)
-    T, K, m, n = instance.T, instance.K, instance.m, instance.n
-    step = instance.epoch_len
+    T, K, m = instance.T, instance.K, instance.m
     eta = config.stepsize(K, T)
     mu_init = config.initial_duals(K, m)
     mu = mu_init.copy()
-
-    decisions = np.full(T, REJECT, dtype=np.int16)
     proxy_dec = np.full((T, K), PROXY_NA, dtype=np.int16)
-    mu_trace = np.zeros((T + 1, K, m))
-    a_trace = np.zeros((T, K, m))
-    totals = np.zeros(m, dtype=np.int64)
-    by_type = np.zeros((max(n, 1), m), dtype=np.int64)
-    snapshots = []
-    assignment = 0.0
-    x_prev = np.zeros(m)
     flat_tail = _zero_penalty_tail(instance)
+    consumed = _consumption_rows(m)
+    prior = np.zeros(m)
 
-    for t in range(T):
-        k = t // step
-        if t % step == 0:
-            mu[k:] = mu_init[k:]
-            x_prev = totals.astype(float)
-        mu_trace[t] = mu
-        j, cvec, feas = _arrival(instance, arrivals, t)
+    def epoch_start(k, totals):
+        nonlocal prior
+        mu[k:] = mu_init[k:]
+        prior = totals.astype(float)
+        return slice(k, None)
 
-        adj = np.where(feas, cvec[None, :] - mu[k:], np.inf)
-        args = adj.argmin(axis=1)
-        best = adj[np.arange(K - k), args]
-        proxies = np.where(best <= 0.0, args, REJECT)
-        proxy_dec[t, k:] = proxies
+    def update(t, k, x, cvec, feas):
+        rows = mu[k:]
+        proxy_dec[t, k:] = [x] + [proxy_assign(cvec, feas, row) for row in rows[1:]]
+        x_ind = consumed[proxy_dec[t, k:]]
+        return _step(rows, _aux_solve(instance, k, rows, prior), x_ind, flat_tail[k:], eta)
 
-        x = int(proxies[0])
-        decisions[t] = x
-        if x != REJECT:
-            totals[x] += 1
-            by_type[max(j, 0), x] += 1
-            assignment += float(cvec[x])
-
-        x_ind = np.zeros((K - k, m))
-        live = proxies != REJECT
-        x_ind[np.flatnonzero(live), proxies[live]] = 1.0
-
-        a = _aux_solve(instance, k, mu[k:], x_prev)
-        a = _pin_flat(a, x_ind, mu[k:], flat_tail[k:])
-        a_trace[t, k:] = a
-
-        mu[k:] += eta * (a - x_ind)
-
-        if (t + 1) % step == 0:
-            snapshots.append(totals.copy())
-    mu_trace[T] = mu
-    return _finalize("proxy-dgd", instance, arrivals, eta, decisions, mu_trace,
-                     a_trace, proxy_dec, snapshots, by_type, assignment, {})
-
-
-def _dev_row_arrays(instance, epoch, targets_row):
-    grid = instance.dev_grid
-    return (grid.is_squared[epoch], targets_row, grid.d_plus[epoch], grid.d_minus[epoch])
-
-
-def _single_row_loop(instance, arrivals, t0, t1, row, dev_row, mu0, eta,
-                     decisions, mu_trace, a_trace, totals, by_type, state):
-    """Single-epoch dynamics over periods [t0, t1) using dual row ``row`` of the trace."""
-    is_sq, tgt, dpl, dmi = dev_row
-    flat = (dpl == 0.0) & (dmi == 0.0)
-    table = dev_price_table(is_sq, tgt, dpl, dmi)
-    mu = mu0.copy()
-    assignment = 0.0
-    for t in range(t0, t1):
-        mu_trace[t, row] = mu
-        j, cvec, feas = _arrival(instance, arrivals, t)
-        adj = np.where(feas, cvec - mu, np.inf)
-        i = int(np.argmin(adj))
-        x = i if adj[i] <= 0.0 else REJECT
-        decisions[t] = x
-        x_ind = np.zeros(instance.m)
-        if x != REJECT:
-            totals[x] += 1
-            by_type[max(j, 0), x] += 1
-            assignment += float(cvec[x])
-            x_ind[x] = 1.0
-        a = min_dev_plus_price(table, mu)
-        a = _pin_flat(a, x_ind, mu, flat)
-        a_trace[t, row] = a
-        mu = mu + eta * (a - x_ind)
-    state["mu"] = mu
-    return assignment
+    return _simulate("proxy-dgd", instance, arrivals, eta, mu, epoch_start,
+                     lambda k: mu[k], update, proxy_dec=proxy_dec)
 
 
 def run_single_epoch_dgd(instance: Instance, arrivals: ArrivalSequence,
@@ -327,28 +300,13 @@ def run_single_epoch_dgd(instance: Instance, arrivals: ArrivalSequence,
     """Single-epoch dual gradient descent (requires K = 1).
 
     Assign at the dual-adjusted cost, idealize consumption against the
-    deviation penalty plus the current price, then take an OGD step.
+    deviation penalty plus the current price, then take an OGD step. This is
+    the ``me`` myopic policy at K = 1, whose one epoch-local target is the
+    instance's target.
     """
     if instance.K != 1:
         raise ValueError("single-epoch policy requires an instance with one epoch")
-    config = config or PolicyConfig()
-    arrivals.validate_for(instance)
-    T, m, n = instance.T, instance.m, instance.n
-    eta = config.stepsize(1, T)
-    mu0 = config.initial_duals(1, m)[0]
-
-    decisions = np.full(T, REJECT, dtype=np.int16)
-    mu_trace = np.zeros((T + 1, 1, m))
-    a_trace = np.zeros((T, 1, m))
-    totals = np.zeros(m, dtype=np.int64)
-    by_type = np.zeros((max(n, 1), m), dtype=np.int64)
-    state: dict = {}
-    assignment = _single_row_loop(instance, arrivals, 0, T, 0,
-                                  _dev_row_arrays(instance, 0, instance.dev_grid.target[0]),
-                                  mu0, eta, decisions, mu_trace, a_trace, totals, by_type, state)
-    mu_trace[T, 0] = state["mu"]
-    return _finalize("single-epoch-dgd", instance, arrivals, eta, decisions, mu_trace,
-                     a_trace, None, [totals.copy()], by_type, assignment, {})
+    return replace(run_myopic(instance, arrivals, config, variant="me"), policy="single-epoch-dgd")
 
 
 def myopic_epoch_targets(instance: Instance, epoch: int, variant: str,
@@ -374,37 +332,38 @@ def run_myopic(instance: Instance, arrivals: ArrivalSequence,
                config: Optional[PolicyConfig] = None, variant: str = "smart-me") -> RunResult:
     """Myopic benchmark: an independent single-epoch run per epoch.
 
-    Each epoch runs the single-epoch loop over its ``T/K`` periods against
-    epoch-local targets (see :func:`myopic_epoch_targets`) built from the
-    epoch's own deviation families, with the shadow price re-initialized at
-    every epoch start. Costs are still scored against the true cumulative
-    targets of the instance.
+    Each epoch runs single-epoch dual gradient descent on its own price row
+    over its ``T/K`` periods, against epoch-local targets (see
+    :func:`myopic_epoch_targets`) built from the epoch's own deviation
+    families, with the row starting from its initial value. Costs are still
+    scored against the true cumulative targets of the instance. The trace
+    shows only the live row; a finished epoch's final row appears at the
+    next epoch's first period.
     """
     config = config or PolicyConfig()
-    arrivals.validate_for(instance)
-    T, K, m, n = instance.T, instance.K, instance.m, instance.n
+    T, K, m = instance.T, instance.K, instance.m
     step = instance.epoch_len
     eta = config.stepsize(K, T)
-    mu_init = config.initial_duals(K, m)
+    mu = config.initial_duals(K, m)
+    grid = instance.dev_grid
+    flat_rows = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
+    consumed = _consumption_rows(m)
+    table = None
 
-    decisions = np.full(T, REJECT, dtype=np.int16)
-    mu_trace = np.zeros((T + 1, K, m))
-    a_trace = np.zeros((T, K, m))
-    totals = np.zeros(m, dtype=np.int64)
-    by_type = np.zeros((max(n, 1), m), dtype=np.int64)
-    snapshots = []
-    assignment = 0.0
-    for k in range(K):
-        tilde = myopic_epoch_targets(instance, k, variant, totals)
-        state: dict = {}
-        assignment += _single_row_loop(instance, arrivals, k * step, (k + 1) * step, k,
-                                       _dev_row_arrays(instance, k, tilde),
-                                       mu_init[k], eta, decisions, mu_trace, a_trace,
-                                       totals, by_type, state)
-        mu_trace[(k + 1) * step, k] = state["mu"]
-        snapshots.append(totals.copy())
-    return _finalize(variant, instance, arrivals, eta, decisions, mu_trace,
-                     a_trace, None, snapshots, by_type, assignment, {})
+    def epoch_start(k, totals):
+        nonlocal table
+        target = myopic_epoch_targets(instance, k, variant, totals)
+        table = dev_price_table(grid.is_squared[k], target, grid.d_plus[k], grid.d_minus[k])
+        return k
+
+    def update(t, k, x, cvec, feas):
+        return _step(mu[k], min_dev_plus_price(table, mu[k]), consumed[x], flat_rows[k], eta)
+
+    t = np.arange(T + 1)[:, None]
+    lag = t // step - np.arange(K)
+    shown = (lag == 0) | ((lag == 1) & (t % step == 0))
+    return _simulate(variant, instance, arrivals, eta, mu, epoch_start,
+                     lambda k: mu[k], update, shown=shown)
 
 
 def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
@@ -418,76 +377,34 @@ def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
     implemented decision. No per-epoch reset.
     """
     config = config or PolicyConfig()
-    arrivals.validate_for(instance)
-    T, K, m, n = instance.T, instance.K, instance.m, instance.n
-    step = instance.epoch_len
-    eta = config.stepsize(K, T)
+    K, m = instance.K, instance.m
+    eta = config.stepsize(K, instance.T)
     mu = config.initial_duals(K, m)
     grid = instance.dev_grid
     flat_rows = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
+    consumed = _consumption_rows(m)
+    table = None
 
-    decisions = np.full(T, REJECT, dtype=np.int16)
-    mu_trace = np.zeros((T + 1, K, m))
-    a_trace = np.zeros((T, K, m))
-    totals = np.zeros(m, dtype=np.int64)
-    by_type = np.zeros((max(n, 1), m), dtype=np.int64)
-    snapshots = []
-    assignment = 0.0
-    for t in range(T):
-        k = t // step
-        if t % step == 0:
-            table = dev_price_table(grid.is_squared[k:], grid.target[k:],
-                                    grid.d_plus[k:], grid.d_minus[k:])
-        mu_trace[t] = mu
-        j, cvec, feas = _arrival(instance, arrivals, t)
-        price = mu[k:].sum(axis=0)
-        adj = np.where(feas, cvec - price, np.inf)
-        i = int(np.argmin(adj))
-        x = i if adj[i] <= 0.0 else REJECT
-        decisions[t] = x
-        x_ind = np.zeros(m)
-        if x != REJECT:
-            totals[x] += 1
-            by_type[max(j, 0), x] += 1
-            assignment += float(cvec[x])
-            x_ind[x] = 1.0
-        a = min_dev_plus_price(table, mu[k:])
-        a = _pin_flat(a, np.broadcast_to(x_ind, (K - k, m)), mu[k:], flat_rows[k:])
-        a_trace[t, k:] = a
-        mu[k:] += eta * (a - x_ind[None, :])
-        if (t + 1) % step == 0:
-            snapshots.append(totals.copy())
-    mu_trace[T] = mu
-    return _finalize("naive-pd", instance, arrivals, eta, decisions, mu_trace,
-                     a_trace, None, snapshots, by_type, assignment, {})
+    def epoch_start(k, totals):
+        nonlocal table
+        table = dev_price_table(grid.is_squared[k:], grid.target[k:],
+                                grid.d_plus[k:], grid.d_minus[k:])
+        return slice(k, None)
+
+    def update(t, k, x, cvec, feas):
+        return _step(mu[k:], min_dev_plus_price(table, mu[k:]), consumed[x], flat_rows[k:], eta)
+
+    return _simulate("naive-pd", instance, arrivals, eta, mu, epoch_start,
+                     lambda k: mu[k:].sum(axis=0), update)
 
 
 def run_greedy(instance: Instance, arrivals: ArrivalSequence,
                config: Optional[PolicyConfig] = None) -> RunResult:
     """Assign each arrival to its cheapest feasible resource when that cost
     is nonpositive, otherwise reject; targets are ignored entirely."""
-    arrivals.validate_for(instance)
-    T, K, m, n = instance.T, instance.K, instance.m, instance.n
-    step = instance.epoch_len
-    zeros = np.zeros(m)
-    decisions = np.full(T, REJECT, dtype=np.int16)
-    totals = np.zeros(m, dtype=np.int64)
-    by_type = np.zeros((max(n, 1), m), dtype=np.int64)
-    snapshots = []
-    assignment = 0.0
-    for t in range(T):
-        j, cvec, feas = _arrival(instance, arrivals, t)
-        x = proxy_assign(cvec, feas, zeros)
-        decisions[t] = x
-        if x != REJECT:
-            totals[x] += 1
-            by_type[max(j, 0), x] += 1
-            assignment += float(cvec[x])
-        if (t + 1) % step == 0:
-            snapshots.append(totals.copy())
-    return _finalize("greedy", instance, arrivals, 0.0, decisions,
-                     np.zeros((T + 1, K, m)), np.zeros((T, K, m)), None,
-                     snapshots, by_type, assignment, {})
+    zeros = np.zeros(instance.m)
+    return _simulate("greedy", instance, arrivals, 0.0, np.zeros((instance.K, instance.m)),
+                     lambda k, totals: None, lambda k: zeros, lambda t, k, x, cvec, feas: None)
 
 
 POLICIES = {

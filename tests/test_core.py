@@ -1,4 +1,5 @@
-"""Core types: deviation families, the total-cost functional, serialization."""
+"""Core types: deviation families, the total-cost functional, decision
+replay, serialization and the trace export."""
 
 import numpy as np
 import pytest
@@ -15,8 +16,16 @@ from flowtarget import (
     uniform_dev_costs,
 )
 from flowtarget.core import export_trace_csv
-from flowtarget.instances import idle_then_full_instance, random_instance, sample_arrivals
-from flowtarget.policies import run_greedy
+from flowtarget.instances import (
+    NonstatProfile,
+    idle_then_full_instance,
+    nonstationary_total_cost,
+    random_instance,
+    sample_arrivals,
+)
+from flowtarget.policies import run_greedy, run_myopic, run_proxy_dual_gd
+
+from test_oracle import pinned_dual_problem
 
 
 def dev_strategy():
@@ -150,6 +159,13 @@ class TestTotalCost:
         with pytest.raises(ValueError, match="snapshot"):
             total_cost(inst, state)
 
+    def test_snapshot_average_outside_unit_interval(self):
+        inst = idle_then_full_instance(2.0, 10)
+        state = ConsumptionState(inst.n, inst.m)
+        state.snapshots = [np.zeros(inst.m, dtype=np.int64), np.full(inst.m, inst.T + 1)]
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] at epoch 1, resource 0"):
+            total_cost(inst, state)
+
     def test_deviation_depends_only_on_snapshots(self):
         inst = random_instance(5, max_K=2, max_T=40)
         omega = sample_arrivals(inst, 5)
@@ -158,6 +174,71 @@ class TestTotalCost:
         state.by_type[:] += 0  # composition untouched; snapshots identical
         _, dev_b, _ = total_cost(inst, state)
         assert dev_a == dev_b
+
+
+def two_type_problem():
+    """T = 6, K = 2; type 1 may not use resource 0; arrivals alternate."""
+    targets = np.full((2, 2), 0.4)
+    inst = Instance(costs=[[-0.5, -0.2], [-0.3, -0.4]], feasible=[[True, True], [False, True]],
+                    probs=np.array([0.5, 0.5]), epochs=2, horizon=6, targets=targets,
+                    dev_costs=uniform_dev_costs(targets, "absolute", 1.0))
+    return inst, ArrivalSequence(types=np.array([0, 1, 0, 1, 0, 1]))
+
+
+ACCOUNTING = {
+    "replay": replay_decisions,
+    "nonstationary": lambda inst, omega, dec: nonstationary_total_cost(
+        inst, NonstatProfile(np.full(inst.K, 1.0 / inst.K)), omega, dec),
+}
+
+
+class TestBadDecisionSequences:
+    """Replay and the nonstationary reference cost reject a bad decision
+    sequence, naming its first bad period."""
+
+    @pytest.mark.parametrize("account", sorted(ACCOUNTING))
+    def test_negative_resource_index(self, account):
+        inst = random_instance(3, max_m=3, max_n=3, max_K=2, max_T=20)
+        omega = sample_arrivals(inst, 3)
+        with pytest.raises(ValueError, match="decision -2 at period 0 "):
+            ACCOUNTING[account](inst, omega, np.full(inst.T, -2))
+
+    @pytest.mark.parametrize("account", sorted(ACCOUNTING))
+    def test_sequence_longer_than_horizon(self, account):
+        inst, omega = two_type_problem()
+        with pytest.raises(ValueError, match="length 8, expected 6: period 6 "):
+            ACCOUNTING[account](inst, omega, np.full(8, -1))
+
+    @pytest.mark.parametrize("account", sorted(ACCOUNTING))
+    def test_sequence_shorter_than_horizon(self, account):
+        inst, omega = two_type_problem()
+        with pytest.raises(ValueError, match="length 4, expected 6: period 4 "):
+            ACCOUNTING[account](inst, omega, np.full(4, -1))
+
+    @pytest.mark.parametrize("account", sorted(ACCOUNTING))
+    def test_resource_infeasible_for_the_type(self, account):
+        inst, omega = two_type_problem()
+        with pytest.raises(ValueError, match="decision 0 at period 3 "):
+            ACCOUNTING[account](inst, omega, np.array([0, 1, -1, 0, 0, 0]))
+
+    @pytest.mark.parametrize("account", sorted(ACCOUNTING))
+    def test_resource_index_past_m(self, account):
+        inst, omega = two_type_problem()
+        with pytest.raises(ValueError, match="decision 2 at period 5 "):
+            ACCOUNTING[account](inst, omega, np.array([0, 1, -1, 1, 0, 2]))
+
+    @pytest.mark.parametrize("account", sorted(ACCOUNTING))
+    def test_non_integer_decisions(self, account):
+        inst, omega = two_type_problem()
+        with pytest.raises(ValueError, match="integer sequence"):
+            ACCOUNTING[account](inst, omega, np.array([0.0, 1.0, -1.0, 1.0, 0.5, 1.0]))
+
+    def test_valid_sequence_still_accounted(self):
+        inst, omega = two_type_problem()
+        state, assignment = replay_decisions(inst, omega, np.array([0, 1, -1, 1, 1, -1]))
+        assert assignment == pytest.approx(-0.5 - 0.4 - 0.4 - 0.2)
+        np.testing.assert_array_equal(state.by_type, [[1, 1], [0, 2]])
+        np.testing.assert_array_equal(np.array(state.snapshots), [[1, 1], [1, 3]])
 
 
 class TestInstanceValidation:
@@ -250,10 +331,9 @@ class TestSerialization:
         back = ArrivalSequence.load(path)
         np.testing.assert_array_equal(back.types, omega.types)
 
-    def test_trace_csv_columns(self, tmp_path):
-        inst = random_instance(6, max_T=24)
-        omega = sample_arrivals(inst, 6)
-        result = run_greedy(inst, omega)
+    @pytest.mark.parametrize("case", ["typed-greedy", "typed-smart-me", "continuous-proxy-dgd"])
+    def test_trace_csv_columns(self, tmp_path, case):
+        inst, omega, result = trace_case(case)
         path = str(tmp_path / "trace.csv")
         export_trace_csv(path, inst, omega, result)
         lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
@@ -265,12 +345,42 @@ class TestSerialization:
         assert len(lines) == inst.T + 1
         # final cost_so_far equals the run's total cost
         assert float(lines[-1].split(",")[-1]) == pytest.approx(result.total_cost, rel=1e-9)
+        # the mu_* columns are the price matrix at the start of each period
+        cols = [header.index(f"mu_{k + 1}_{i + 1}") for k in range(inst.K) for i in range(inst.m)]
+        mu = np.array([[float(line.split(",")[c]) for c in cols] for line in lines[1:]])
+        np.testing.assert_allclose(mu, result.mu_trace[:inst.T].reshape(inst.T, -1), rtol=1e-11, atol=0)
+        if case == "typed-smart-me":
+            # myopic shows only its live row; a finished epoch's final row
+            # shows only at the next epoch's first period
+            step = inst.epoch_len
+            mu = mu.reshape(inst.T, inst.K, inst.m)
+            for t in range(inst.T):
+                k = t // step
+                hidden = [r for r in range(inst.K) if r != k and not (t % step == 0 and r == k - 1)]
+                assert not mu[t, hidden].any()
+                if t % step == 0 and k > 0:
+                    assert mu[t, k - 1].any()
+
+
+def trace_case(case):
+    """A run to export: typed greedy, typed smart-me (K = 3) or proxy-dgd
+    on the pinned continuous problem."""
+    if case == "continuous-proxy-dgd":
+        inst, omega = pinned_dual_problem("continuous")
+        return inst, omega, run_proxy_dual_gd(inst, omega)
+    if case == "typed-smart-me":
+        inst = random_instance(8, max_T=24)
+        omega = sample_arrivals(inst, 8)
+        return inst, omega, run_myopic(inst, omega, variant="smart-me")
+    inst = random_instance(6, max_T=24)
+    omega = sample_arrivals(inst, 6)
+    return inst, omega, run_greedy(inst, omega)
 
 
 class TestConsumptionState:
     def test_invariant_check(self):
-        st_ = ConsumptionState(2, 2)
-        st_.record(0, 1)
+        inst, omega = two_type_problem()
+        st_, _ = replay_decisions(inst, omega, np.array([0, 1, -1, 1, 1, -1]))
         st_.check()
         st_.by_type[1, 0] = 5  # assignments without arrivals
         with pytest.raises(AssertionError):

@@ -1,5 +1,8 @@
 """Online policies: decision rules, dynamics on the counterexample
-instances, structural invariants, and the proxy-cost reconstruction."""
+instances, structural invariants, the proxy-cost reconstruction, and
+pinned outputs of every policy."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,19 +24,23 @@ from flowtarget import (
     run_single_epoch_dgd,
     uniform_dev_costs,
 )
-from flowtarget.core import REJECT
-from flowtarget.harness import epoch_acceptance_fraction
+from flowtarget.core import REJECT, export_trace_csv
+from flowtarget.harness import epoch_acceptance_fraction, run_experiment
 from flowtarget.instances import (
+    SyntheticParams,
+    generate_synthetic,
     idle_then_full_instance,
     random_instance,
     sample_arrivals,
     zero_cost_two_target_instance,
 )
 from flowtarget.oracle import proxy_cost_decomposition
-from flowtarget.policies import myopic_epoch_targets
+from flowtarget.policies import POLICIES, myopic_epoch_targets
 from flowtarget.solver import solve_box_convex
 
 from helpers import grid_minimize
+from test_harness import small_config
+from test_oracle import pinned_dual_problem
 
 
 class TestProxyAssign:
@@ -381,3 +388,121 @@ class TestGreedy:
             choices = [k for k, v in opts.items() if v == best]
             want = min(c for c in choices if c != REJECT) if any(c != REJECT for c in choices) else REJECT
             assert r.decisions[t] == want
+
+
+def pinned_policy_problem(kind):
+    """Small seeded instances for the pinned policy outputs, with the config
+    every dual policy runs under: the pinned dual-backend problems (typed,
+    squared, continuous), ``mixed`` with every penalty family, infeasible
+    cells and a warm, nonzero initial price, and ``single`` with K = 1."""
+    if kind == "mixed":
+        inst = random_instance(17, max_K=4, max_T=120, allow_squared=True)
+        mu_init = np.random.default_rng(17).normal(scale=0.3, size=(inst.K, inst.m))
+        return inst, sample_arrivals(inst, 17), PolicyConfig(eta=0.3, mu_init=mu_init)
+    if kind == "single":
+        inst = generate_synthetic(SyntheticParams(T=60, K=1, delta=1.0, gamma=2.0, seed=7))
+        return inst, sample_arrivals(inst, 7), PolicyConfig()
+    return (*pinned_dual_problem(kind), PolicyConfig())
+
+
+def run_digest(inst, omega, result, tmp_path):
+    """SHA-256 over a run's arrays (name, dtype, shape and bytes of each) and
+    the bytes of its exported trace CSV."""
+    h = hashlib.sha256()
+    for name in ("decisions", "mu_trace", "a_trace", "proxy_decisions",
+                 "epoch_consumption", "by_type_final"):
+        arr = getattr(result, name)
+        h.update(name.encode())
+        if arr is None:
+            h.update(b"none")
+            continue
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    path = tmp_path / "trace.csv"
+    export_trace_csv(str(path), inst, omega, result)
+    h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def pinned_cases():
+    kinds = ("continuous", "mixed", "squared", "typed")
+    cases = [(kind, name) for kind in kinds for name in sorted(POLICIES) if name != "single-epoch-dgd"]
+    return cases + [("single", name) for name in sorted(POLICIES)]
+
+
+class TestPoliciesPinned:
+    # (digest of run_digest, assignment cost, deviation cost, total cost),
+    # recorded from the four per-policy loops before they became one kernel.
+    # The one kernel sums me/smart-me assignment costs over the whole run,
+    # not per epoch first; only those costs (and their totals) were
+    # re-recorded, each within 2e-14 of the old value.
+    PINNED = {
+        ("continuous", "greedy"): ("16164b1019876441ed359dffce83b1d2a955e8955e1acd57ca04b0b2bfc9d4c5",
+            -66.36240907401958, 29.0, -37.36240907401958),
+        ("continuous", "me"): ("d5550ffab8f421487496e71ac0ca92d2de7616c11cdc17af2d8920d5e0f8e836",
+            -65.44910948096351, 28.0, -37.449109480963514),
+        ("continuous", "naive-pd"): ("4ae10b974016a740bed1b28398bd2903d5c8cfa56c9ff97b53d5be636159f3fb",
+            -63.73820506392355, 24.0, -39.73820506392355),
+        ("continuous", "proxy-dgd"): ("85b0add419220e4de3627f7fd5c64b9511ea0c8f513cb7c7495e2be40e745488",
+            -66.19401127116082, 28.0, -38.19401127116082),
+        ("continuous", "smart-me"): ("406a5e66be8a15591e285e12aef313a020ffd57d7fd07b3c4d10216987f725ee",
+            -65.26661724577272, 28.0, -37.26661724577272),
+        ("mixed", "greedy"): ("9076b6fae460f9078a66310938e396b15ed021ddeb62ad66eccdc94078a43dd8",
+            -60.97651119504478, 124.03588698766012, 63.05937579261534),
+        ("mixed", "me"): ("b36a09f774c2f4a71be7ace822f0bd7eecfb6ade69cd2d7f07c7b29219c7f00d",
+            -44.510247311009735, 115.23403270811593, 70.7237853971062),
+        ("mixed", "naive-pd"): ("208c008cdee38a9e16150786f2a6abaa8b21471e4a5716fc23b8591e18837df3",
+            -47.78645297935719, 91.25515487695617, 43.468701897598976),
+        ("mixed", "proxy-dgd"): ("a9822d3b5f82046bb39fedf46875c4f21feeef607190825830addd06840f749d",
+            -46.84430596395094, 91.18379104702048, 44.33948508306954),
+        ("mixed", "smart-me"): ("6f31f771c26761baea025a2e1c18b0cfca333c8999a440c564d059d51230407d",
+            -44.425758104742286, 99.23534114128597, 54.809583036543685),
+        ("squared", "greedy"): ("e09a647f9927d04fbede147d5f2275459908aca6c54a6b6d8f5f106838e144c1",
+            -45.617687961614514, 9.148756009669267, -36.46893195194525),
+        ("squared", "me"): ("4398ba2fb465e645dbbb0f2ea4f7ef1c6562f30a588bbd7229a5133650b8d8d8",
+            -38.305745822343994, 4.771202383177423, -33.53454343916657),
+        ("squared", "naive-pd"): ("98a7c622bc4129973cebfcd63bc1020d2c56a685d5831592db577cfc69ebdd11",
+            -38.03889305598245, 5.798756009669266, -32.24013704631318),
+        ("squared", "proxy-dgd"): ("82c37851a4c6c18f6761348266fb7e9b1c25b5edfccf90e114b31d8fd40e2fa7",
+            -42.93379680981159, 6.1987560096692675, -36.73504080014232),
+        ("squared", "smart-me"): ("6130d18be75d586cab80e1a8f7f593d77048a145e0dab2677c4e8d76e0dc1e44",
+            -40.08855825879754, 5.14222383377416, -34.94633442502338),
+        ("typed", "greedy"): ("65c699bdb29f20814f897d2e1a9dd03707e76d6dc6a541f2076bb358df82adf4",
+            -45.617687961614514, 42.37688117263404, -3.2408067889804713),
+        ("typed", "me"): ("19fcab1aee829d319c9f67648851126ee8300f231b4d95ed071683f489d9e144",
+            -35.34751144622238, 30.0, -5.347511446222377),
+        ("typed", "naive-pd"): ("ab5ef03168bde368976d7ad02ce5d798ba18b86e2ab33e08ae2adc86755db066",
+            -30.43210969126473, 27.0, -3.4321096912647313),
+        ("typed", "proxy-dgd"): ("4ee3ab3afdc7a2b93c20960b721ec5cfa29ba6e84410ed7209d4c55c8ce68e17",
+            -36.045295389114074, 31.0, -5.045295389114074),
+        ("typed", "smart-me"): ("7cd758f54141f56910ffb2094b3beec0b6eb05eb6a6dee1a8c069eaa8a1119a1",
+            -35.03446559503168, 30.0, -5.0344655950316834),
+        ("single", "greedy"): ("1034ffa09ff3271d48ca6941d69cada4b38ab0ced953010666207295c95d92c8",
+            -45.617687961614514, 18.86935648209789, -26.748331479516626),
+        ("single", "me"): ("a4d16786c03666f5f17ca64004f9e8e6c9d9b0144aaff5c2a009e3eaa6058337",
+            -40.763323710007576, 8.869356482097889, -31.893967227909688),
+        ("single", "naive-pd"): ("a4d16786c03666f5f17ca64004f9e8e6c9d9b0144aaff5c2a009e3eaa6058337",
+            -40.763323710007576, 8.869356482097889, -31.893967227909688),
+        ("single", "proxy-dgd"): ("0c1457827cb978a16910ae35c448a8cbcd06e97b4e6047630d080bcf841cdf02",
+            -40.763323710007576, 8.869356482097889, -31.893967227909688),
+        ("single", "single-epoch-dgd"): ("a4d16786c03666f5f17ca64004f9e8e6c9d9b0144aaff5c2a009e3eaa6058337",
+            -40.763323710007576, 8.869356482097889, -31.893967227909688),
+        ("single", "smart-me"): ("a4d16786c03666f5f17ca64004f9e8e6c9d9b0144aaff5c2a009e3eaa6058337",
+            -40.763323710007576, 8.869356482097889, -31.893967227909688),
+    }
+
+    @pytest.mark.parametrize("kind, policy", pinned_cases())
+    def test_outputs_are_bit_identical_to_recorded(self, kind, policy, tmp_path):
+        inst, omega, cfg = pinned_policy_problem(kind)
+        r = POLICIES[policy](inst, omega, cfg)
+        got = (run_digest(inst, omega, r, tmp_path), r.assignment_cost, r.deviation_cost, r.total_cost)
+        assert got == self.PINNED[kind, policy]
+
+    # SHA-256 of replications.csv from the harness tests' small config
+    REPLICATIONS = "bb7131ccd07c3cd024b36051360e7dbb78b5bc80424951a8c9b6e9b05734423d"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_config_replications_csv(self, workers, tmp_path):
+        info = run_experiment(small_config(workers=workers), str(tmp_path / "out"))
+        with open(info["replications_csv"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.REPLICATIONS
