@@ -93,10 +93,9 @@ class MetricsRow:
 
 
 def mean_abs_target_deviation(result: RunResult, instance: Instance) -> float:
-    """Average over epochs and resources of |running average - target|."""
-    periods = (np.arange(1, instance.K + 1) * instance.epoch_len)[:, None]
-    running = result.epoch_consumption / periods
-    return float(np.abs(running - instance.targets).mean())
+    """Average over epochs and resources of |running average - target|, as
+    held by the run against the targets it ran on (``instance`` is not read)."""
+    return float(result.abs_deviation.mean())
 
 
 def epoch_acceptance_fraction(result: RunResult, instance: Instance, epoch: int,

@@ -13,14 +13,16 @@ deviation penalties evaluated at cumulative average consumption.
   arrivals assumed identical to epoch ``k``'s.
 
 Two backends: ``exact-lp`` reformulates piecewise-linear deviation costs
-with epigraph variables and solves the resulting LP exactly (certified gap
-0, fractional relaxation); ``dual-subgradient`` ascends the Lagrangian dual
-with exact inner minimizations, recovers a feasible primal by averaging,
-and reports the primal-dual gap as its certificate. Its deviation-price
-table (:func:`~flowtarget.solver.dev_price_table`) and every other
-price-free array are built once per solve, so each dual step only prices
-them. A brute-force enumerator over integral assignment sequences serves
-as the test oracle on tiny instances.
+with epigraph variables and solves the resulting LP (the fractional
+relaxation) with HiGHS. It reports gap 0, which holds to HiGHS's tolerances
+(about 1e-7); certifying each solve from its own duals is ROADMAP item 3.
+``dual-subgradient`` ascends the Lagrangian dual with exact inner
+minimizations, recovers a feasible primal by averaging, and reports the
+primal-dual gap as its certificate. Its deviation-price table
+(:func:`~flowtarget.solver.dev_price_table`) and every other price-free
+array are built once per solve, so each dual step only prices them. A
+brute-force enumerator over integral assignment sequences serves as the
+test oracle on tiny instances.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class OfflineSolution:
     and epoch (zeros outside the solved window; in continuous mode the
     pseudo-types are the individual arrivals of the solved window).
     ``objective`` is a feasible primal value; ``dual_bound`` a certified
-    lower bound, with ``gap = objective - dual_bound`` (0 for exact LP).
+    lower bound, with ``gap = objective - dual_bound`` (reported as 0 for
+    the exact LP, whose solve is exact to HiGHS's tolerances).
     """
 
     counts: np.ndarray
@@ -92,27 +95,18 @@ def _window_problem(instance: Instance, omega: ArrivalSequence | np.ndarray,
     need = step if proxy_future else W * step
     if isinstance(omega, ArrivalSequence) and omega.continuous:
         costs = omega.cost_vectors
-        if costs.shape[0] != need:
-            raise ValueError(f"expected {need} arrivals for this window, got {costs.shape[0]}")
-        n_eff = costs.shape[0]
-        feas = np.ones((n_eff, instance.m), dtype=bool)
-        if proxy_future:
-            caps = np.ones((n_eff, W), dtype=np.int64)
-        else:
-            caps = np.zeros((n_eff, W), dtype=np.int64)
-            for w in range(W):
-                caps[w * step:(w + 1) * step, w] = 1
-        return costs, feas, caps
-    types = omega.types if isinstance(omega, ArrivalSequence) else np.asarray(omega, dtype=np.int64)
+        feas = np.ones(costs.shape, dtype=bool)
+        types = np.arange(costs.shape[0])  # arrival t is pseudo-type t
+    else:
+        costs, feas = instance.costs, instance.feasible
+        types = omega.types if isinstance(omega, ArrivalSequence) else np.asarray(omega, dtype=np.int64)
     if len(types) != need:
         raise ValueError(f"expected {need} arrivals for this window, got {len(types)}")
-    caps = np.zeros((instance.n, W), dtype=np.int64)
     if proxy_future:
-        caps[:, :] = np.bincount(types, minlength=instance.n)[:, None]
-    else:
-        for w in range(W):
-            caps[:, w] = np.bincount(types[w * step:(w + 1) * step], minlength=instance.n)
-    return instance.costs, instance.feasible, caps
+        types = np.tile(types, W)
+    n = costs.shape[0]
+    caps = np.bincount(types * W + np.arange(W * step) // step, minlength=n * W).reshape(n, W)
+    return costs, feas, caps
 
 
 def _dev_rows(instance: Instance, window: list[int]):
@@ -122,77 +116,50 @@ def _dev_rows(instance: Instance, window: list[int]):
 
 
 def _solve_exact_lp(instance, costs, feas, caps, window, prior):
-    """Epigraph LP over the window; piecewise-linear families only."""
+    """Epigraph LP over the window; piecewise-linear families only.
+
+    Variables: the counts ``z[j, w, i]`` of every available (type, window
+    epoch) pair and feasible resource, in (j, w, i) order, then one epigraph
+    variable ``u[w, i]`` per penalized cell, in (w, i) order. Rows: one
+    availability row per (j, w) pair with a variable, in (j, w) order, then
+    two epigraph rows per penalized cell, ``u >= d+ (avg - target)`` before
+    ``u >= d- (target - avg)``; a zero-weight side degenerates to
+    ``u >= 0``, which keeps one-sided penalties exact.
+    """
     grid, dens = _dev_rows(instance, window)
     if grid.has_squared:
         raise UnsupportedFamilyError("exact-lp supports only piecewise-linear deviation families")
-    tgt, dpl, dmi = grid.target, grid.d_plus, grid.d_minus
     n_eff, m = costs.shape
     W = len(window)
-
-    var_index = {}
-    obj = []
-    for j in range(n_eff):
-        for w in range(W):
-            if caps[j, w] <= 0:
-                continue
-            for i in range(m):
-                if feas[j, i]:
-                    var_index[(j, w, i)] = len(obj)
-                    obj.append(costs[j, i])
-    n_z = len(obj)
-    epi_index = {}
-    for w in range(W):
-        for i in range(m):
-            if dpl[w, i] > 0 or dmi[w, i] > 0:
-                epi_index[(w, i)] = n_z + len(epi_index)
-                obj.append(dens[w])
-    n_var = len(obj)
-    if n_var == 0:
+    jj, ww, ii = np.nonzero((caps[:, :, None] > 0) & feas[:, None, :])
+    pw, pi = np.nonzero((grid.d_plus > 0) | (grid.d_minus > 0))
+    n_z, n_u = len(jj), len(pw)
+    if n_z + n_u == 0:
         # Nothing to decide: no assignable arrivals and no penalties.
         base = float((dens[:, None] * grid.evaluate(prior[None, :] / dens[:, None])).sum())
         return base, np.zeros((n_eff, m, instance.K))
 
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
-    for j in range(n_eff):
-        for w in range(W):
-            if caps[j, w] <= 0:
-                continue
-            any_var = False
-            for i in range(m):
-                v = var_index.get((j, w, i))
-                if v is not None:
-                    rows.append(r), cols.append(v), vals.append(1.0)
-                    any_var = True
-            if any_var:
-                rhs.append(float(caps[j, w]))
-                r += 1
-    # Two epigraph inequalities per penalized (epoch, resource):
-    # u >= d+ (avg - target) and u >= d- (target - avg); a zero-weight side
-    # degenerates to u >= 0, which keeps one-sided penalties exact.
-    for (w, i), u in epi_index.items():
-        for sign, delta in ((1.0, dpl[w, i]), (-1.0, dmi[w, i])):
-            coeff = sign * delta / dens[w]
-            if coeff != 0.0:
-                for w2 in range(w + 1):
-                    for j in range(n_eff):
-                        v = var_index.get((j, w2, i))
-                        if v is not None:
-                            rows.append(r), cols.append(v), vals.append(coeff)
-            rows.append(r), cols.append(u), vals.append(-1.0)
-            rhs.append(sign * delta * (tgt[w, i] - prior[i] / dens[w]))
-            r += 1
-
-    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(r, n_var)).tocsr()
-    bounds = [(0, None)] * n_z + [(None, None)] * len(epi_index)
-    res = linprog(c=np.asarray(obj), A_ub=a_ub, b_ub=np.asarray(rhs),
-                  bounds=bounds, method="highs")
+    cells, avail_row = np.unique(jj * W + ww, return_inverse=True)
+    n_a = len(cells)
+    signed = np.stack([grid.d_plus[pw, pi], -grid.d_minus[pw, pi]], axis=1)  # (n_u, 2)
+    coeff = signed / dens[pw, None]
+    # epigraph row p holds the counts of resource pi[p] up to epoch pw[p]
+    pp, kk = np.nonzero((ii == pi[:, None]) & (ww <= pw[:, None]))
+    keep = coeff[pp] != 0.0
+    u_rows = np.arange(2 * n_u)
+    rows = np.concatenate([avail_row, (n_a + 2 * pp[:, None] + np.arange(2))[keep], n_a + u_rows])
+    cols = np.concatenate([np.arange(n_z), np.broadcast_to(kk[:, None], keep.shape)[keep], n_z + u_rows // 2])
+    vals = np.concatenate([np.ones(n_z), coeff[pp][keep], np.full(2 * n_u, -1.0)])
+    rhs = np.concatenate([caps.ravel()[cells],
+                          (signed * (grid.target[pw, pi] - prior[pi] / dens[pw])[:, None]).ravel()])
+    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(n_a + 2 * n_u, n_z + n_u)).tocsr()
+    bounds = [(0, None)] * n_z + [(None, None)] * n_u
+    res = linprog(c=np.concatenate([costs[jj, ii], dens[pw]]), A_ub=a_ub,
+                  b_ub=rhs, bounds=bounds, method="highs")
     if res.status != 0:
         raise OracleInternalError(f"LP solver returned status {res.status}: {res.message}")
     z = np.zeros((n_eff, m, instance.K))
-    for (j, w, i), v in var_index.items():
-        z[j, i, window[w]] = res.x[v]
+    z[jj, ii, np.asarray(window)[ww]] = res.x[:n_z]
     return float(res.fun), z
 
 
@@ -349,10 +316,8 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                 break
         step0 *= 0.3
 
-    counts = caps_cell * best_shares
     z = np.zeros((n_eff, m, instance.K))
-    for w, k in enumerate(window):
-        z[:, :, k] = counts[:, w, :]
+    z[:, :, window] = (caps_cell * best_shares).transpose(0, 2, 1)
     return float(best_primal), float(best_dual), z
 
 
@@ -422,11 +387,7 @@ def proxy_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
 def _as_epoch_slice(instance, omega_k):
     """Accept either an ArrivalSequence or a bare type array holding exactly
     one epoch of arrivals."""
-    if isinstance(omega_k, ArrivalSequence):
-        if len(omega_k) != instance.epoch_len:
-            raise ValueError("omega_k must hold exactly one epoch of arrivals")
-        return omega_k
-    arr = np.asarray(omega_k, dtype=np.int64)
+    arr = omega_k if isinstance(omega_k, ArrivalSequence) else np.asarray(omega_k, dtype=np.int64)
     if len(arr) != instance.epoch_len:
         raise ValueError("omega_k must hold exactly one epoch of arrivals")
     return arr
@@ -482,10 +443,8 @@ def brute_force_offline(instance: Instance, omega: ArrivalSequence,
             best_val = float(vals[idx])
             best_dec = dec[idx].copy()
     z = np.zeros((instance.n, m, K))
-    for t in range(T):
-        d = int(best_dec[t])
-        if d != REJECT:
-            z[int(omega.types[t]), d, t // step] += 1
+    took = np.flatnonzero(best_dec != REJECT)
+    np.add.at(z, (omega.types[took], best_dec[took], took // step), 1.0)
     return OfflineSolution(z, best_val, BRUTE_FORCE, 0.0, best_val, integral=True)
 
 
@@ -494,7 +453,14 @@ def validate_solution(instance: Instance, omega: ArrivalSequence,
     """Check availability, feasibility-set, and nonnegativity invariants."""
     if np.any(sol.counts < -AVAILABILITY_TOL):
         raise AssertionError("negative assignment count")
-    if not omega.continuous:
+    if omega.continuous:
+        # sol.counts[t, i, k]: arrival t is available once, in its own epoch
+        if np.any(sol.counts.sum(axis=(1, 2)) > 1.0 + AVAILABILITY_TOL):
+            raise AssertionError("assignment counts exceed availability")
+        away = np.arange(instance.K) != (np.arange(len(omega)) // instance.epoch_len)[:, None]
+        if np.any(sol.counts.transpose(0, 2, 1)[away] > AVAILABILITY_TOL):
+            raise AssertionError("assignment outside the arrival's epoch")
+    else:
         for k in range(instance.K):
             lam = omega.type_counts(instance, k * instance.epoch_len, (k + 1) * instance.epoch_len)
             if np.any(sol.counts[:, :, k].sum(axis=1) > lam + AVAILABILITY_TOL):

@@ -30,13 +30,15 @@ from flowtarget.policies import POLICIES
 class TestMetrics:
     def test_perfect_tracking_is_zero(self):
         inst = random_instance(5)
-        periods = (np.arange(1, inst.K + 1) * inst.epoch_len)[:, None]
-        result = types.SimpleNamespace(epoch_consumption=np.rint(inst.targets * periods))
+        omega = sample_arrivals(inst, 5)
+        running = POLICIES["greedy"](inst, omega, None).running_avg
+        # greedy ignores the targets, so its rerun against its own running
+        # averages tracks them exactly
         inst2 = Instance(costs=inst.costs, feasible=inst.feasible, probs=inst.probs,
-                         epochs=inst.K, horizon=inst.T,
-                         targets=result.epoch_consumption / periods,
-                         dev_costs=uniform_dev_costs(result.epoch_consumption / periods,
-                                                     "zero", 0.0))
+                         epochs=inst.K, horizon=inst.T, targets=running,
+                         dev_costs=uniform_dev_costs(running, "zero", 0.0))
+        result = POLICIES["greedy"](inst2, omega, None)
+        assert np.array_equal(result.decisions, POLICIES["greedy"](inst, omega, None).decisions)
         assert mean_abs_target_deviation(result, inst2) == 0.0
 
     def test_reject_all_against_half_targets(self):
@@ -44,7 +46,8 @@ class TestMetrics:
         inst = Instance(costs=[[0.5, 0.5]], feasible=[[True, True]], probs=np.array([1.0]),
                         epochs=2, horizon=8, targets=targets,
                         dev_costs=uniform_dev_costs(targets, "absolute", 1.0))
-        result = types.SimpleNamespace(epoch_consumption=np.zeros((2, 2)))
+        result = POLICIES["greedy"](inst, sample_arrivals(inst, 0), None)
+        assert np.all(result.decisions == -1) and not result.epoch_consumption.any()
         assert mean_abs_target_deviation(result, inst) == 0.5
 
     def test_matches_independent_recomputation(self):

@@ -2,12 +2,14 @@
 agreement, window degeneracies, and the proxy-cost bookkeeping."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowtarget import (
     ArrivalSequence,
+    DeviationCost,
     Instance,
     brute_force_offline,
     cumulative_proxy_cost,
@@ -27,6 +29,7 @@ from flowtarget.instances import (
     GumbelCostModel,
     SyntheticParams,
 )
+from flowtarget import oracle as oracle_mod
 from flowtarget.oracle import (
     DUAL_SUBGRADIENT,
     EXACT_LP,
@@ -164,9 +167,23 @@ class TestSandwichAndBackends:
         omega = sample_gumbel_arrivals(model, T, seed=5)
         lp = hindsight_optimum(inst, omega, backend=EXACT_LP)
         ds = hindsight_optimum(inst, omega, backend=DUAL_SUBGRADIENT, dual_iters=6000)
+        validate_solution(inst, omega, lp)
+        validate_solution(inst, omega, ds)
         assert lp.objective <= ds.objective + 1e-7
         greedy = POLICIES["greedy"](inst, omega, None)
         assert lp.objective <= greedy.total_cost + 1e-9
+
+    def test_continuous_validation_rejects_misplaced_counts(self):
+        inst, omega = pinned_dual_problem("continuous")
+        lp = hindsight_optimum(inst, omega)
+        validate_solution(inst, omega, lp)
+        assert lp.counts.sum() > 0
+        shifted = replace(lp, counts=np.roll(lp.counts, 1, axis=2))
+        with pytest.raises(AssertionError, match="outside the arrival's epoch"):
+            validate_solution(inst, omega, shifted)
+        doubled = replace(lp, counts=lp.counts * 2.0)
+        with pytest.raises(AssertionError, match="exceed availability"):
+            validate_solution(inst, omega, doubled)
 
 
 class TestWindowDegeneracies:
@@ -263,3 +280,104 @@ class TestDualBackendPinned:
         ds = hindsight_optimum(inst, omega, backend=DUAL_SUBGRADIENT, dual_iters=2000)
         digest = hashlib.sha256(np.ascontiguousarray(ds.counts).tobytes()).hexdigest()
         assert (ds.objective, ds.dual_bound, digest) == self.PINNED[kind]
+
+
+def pinned_lp_instance(family_mix=True):
+    """K = 3, m = 3, n = 3 typed instance: type 2 has no feasible resource,
+    and the grid mixes absolute, zero-family, zero-weight and one-sided
+    ``under_over`` cells (d- = 0 and d+ = 0)."""
+    targets = np.array([[0.3, 0.2, 0.4], [0.5, 0.1, 0.3], [0.2, 0.4, 0.3]])
+    if family_mix:
+        t = targets
+        dev = ((DeviationCost.absolute(1.0, t[0, 0]), DeviationCost.zero(),
+                DeviationCost.under_over(1.5, 0.0, t[0, 2])),
+               (DeviationCost.under_over(0.0, 2.0, t[1, 0]), DeviationCost.absolute(0.5, t[1, 1]),
+                DeviationCost.zero()),
+               (DeviationCost.absolute(1.2, t[2, 0]), DeviationCost.under_over(0.7, 0.0, t[2, 1]),
+                DeviationCost.absolute(0.0, t[2, 2])))
+    else:
+        dev = uniform_dev_costs(targets, "zero", 0.0)
+    costs = np.array([[-0.8, -0.3, 0.4], [0.2, -0.6, -0.9], [-1.0, -1.0, -1.0]])
+    feasible = np.array([[True, True, False], [False, True, True], [False, False, False]])
+    return Instance(costs=costs, feasible=feasible, probs=np.array([0.4, 0.4, 0.2]),
+                    epochs=3, horizon=30, targets=targets, dev_costs=dev)
+
+
+def pinned_lp_solve(kind):
+    if kind.startswith("continuous"):
+        inst, omega = pinned_dual_problem("continuous")
+        if kind == "continuous-hindsight":
+            return hindsight_optimum(inst, omega)
+        step = inst.epoch_len
+        prior = np.array([4.0, 1.0, 2.5])
+        return proxy_offline(inst, ArrivalSequence(cost_vectors=omega.cost_vectors[step:2 * step]),
+                             prior, 1)
+    inst = pinned_lp_instance(family_mix=kind not in ("no-penalty", "empty"))
+    omega = sample_arrivals(inst, 11)
+    step = inst.epoch_len
+    prior = np.array([3.0, 4.0, 1.0])
+    if kind in ("typed-hindsight", "no-penalty"):
+        return hindsight_optimum(inst, omega)
+    if kind == "typed-proxy":
+        return proxy_offline(inst, omega.types[step:2 * step], prior, 1)
+    if kind == "typed-myopic":
+        return myopic_offline(inst, omega.types[step:2 * step], prior, 1)
+    # "epigraph-only" and "empty": only type-2 arrivals, which no resource takes
+    return myopic_offline(inst, np.full(step, 2), prior, 1)
+
+
+class TestExactLPPinned:
+    # SHA-256 over every (c, A_ub CSR arrays and shape, b_ub, bounds) that
+    # reaches linprog, the exact objective, and the SHA-256 of the counts'
+    # bytes; recorded from the loop-built LP before it was built from arrays.
+    PINNED = {
+        "typed-hindsight": (
+            "51f1b576c5c48b5bb63fe4f61bd9e9bbe5d149c0c816183a3f0382ab9ad6fc10",
+            -11.900000000000004,
+            "6e77938a9d62ddbfdb9387d67b1ef58072cff9b1b3f9f2a86f41fa56f1ee9829"),
+        "typed-proxy": (
+            "cd0e09d896b5e8634217d8290d2c84548153f6fda032df38b2c4a8bd1380125f",
+            -1.6000000000000023,
+            "77a6be8c8517496472cff8b65280ca1ca70c8913e4c1663821cc0dff6e6271b6"),
+        "typed-myopic": (
+            "bb19515193383fda531e2bf313f67fc3033f8f472469d295012ab5d6ba0cefc7",
+            1.0999999999999979,
+            "012daa33b8b10d6ee63ef71c401956d82f0fde5ad45e4c9d914f11ffa79a7750"),
+        "no-penalty": (
+            "e6165bf7318bd4b4bb9a3fa2f3909e6656b00ae3cf0451fe0bad6e35a5d5f878",
+            -22.700000000000003,
+            "306da155220f04a7f4e9d7160772923815fa4a3a9f66d7f1cbe9842b6486cfcf"),
+        "epigraph-only": (
+            "d27f35797c5bc0e9f5969a02da9013c5d5ea50c8f1467d04a09f52dc8bf2be82",
+            15.0,
+            "a5645e7a3fa0866cde8842c4dab96567507c3d1a3c028b816bc63f6966367b70"),
+        "empty": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            0.0,
+            "a5645e7a3fa0866cde8842c4dab96567507c3d1a3c028b816bc63f6966367b70"),
+        "continuous-hindsight": (
+            "b5c0125eade60b62bea4888a2c2fdb8717e4ba00a4dfed056b5fe207ed4572c1",
+            -42.28572284955853,
+            "561d20d68dd142e5b77613ce419ddfe71362968dbac5ed7b8fe1a4d438e3a95d"),
+        "continuous-proxy": (
+            "d4508db7fb341e682a3a9dc7fe537e8c66a45fef9fccfa2b7179057a2e1612eb",
+            -24.024751007291716,
+            "bb5971a584b419f3c18cb7f424aef83e5acbd4184144cdcb7ffb1bfa9c16dcc7"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_lp_and_outputs_are_bit_identical_to_recorded(self, kind, monkeypatch):
+        real = oracle_mod.linprog
+        lp_hash = hashlib.sha256()
+
+        def spy(*args, **kwargs):
+            a = kwargs["A_ub"]
+            for arr in (kwargs["c"], a.data, a.indices, a.indptr, kwargs["b_ub"]):
+                lp_hash.update(np.ascontiguousarray(arr).tobytes())
+            lp_hash.update(repr((a.shape, kwargs["bounds"])).encode())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "linprog", spy)
+        sol = pinned_lp_solve(kind)
+        digest = hashlib.sha256(np.ascontiguousarray(sol.counts).tobytes()).hexdigest()
+        assert (lp_hash.hexdigest(), sol.objective, digest) == self.PINNED[kind]
