@@ -190,7 +190,7 @@ def softmin_weights(locations: np.ndarray) -> np.ndarray:
     """Probability that each resource is an arrival's cheapest option,
     ``exp(-c_ji) / (1 + sum_i' exp(-c_ji'))`` with the outside option at 0."""
     e = np.exp(-np.atleast_2d(locations))
-    return e / (1.0 + e.sum(axis=1, keepdims=True))
+    return e / (1.0 + e.sum(axis=-1, keepdims=True))
 
 
 def softmin_rates(model: GumbelCostModel) -> np.ndarray:
@@ -319,27 +319,35 @@ class MleResult:
 
 
 def _project_simplex(p: np.ndarray) -> np.ndarray:
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(p) + 1)
-    rho = np.max(np.nonzero(u - css / idx > 0)[0]) + 1
-    theta = css[rho - 1] / rho
+    """Euclidean projection of each row of ``p`` onto the probability simplex."""
+    u = np.sort(p, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, p.shape[-1] + 1)
+    holds = u - css / idx > 0
+    # rho: one past the largest index where the condition holds
+    rho = p.shape[-1] - np.argmax(holds[..., ::-1], axis=-1)[..., None]
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(p - theta, 0.0)
 
 
 def mle_gradient(probs: np.ndarray, locations: np.ndarray, rate: float,
-                 mean_counts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                 mean_counts: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Per-interval negative log-likelihood (up to the factorial constant)
-    and its analytic gradient in (probs, locations)."""
-    w = softmin_weights(locations)                    # (n, m)
-    lam = rate * (probs[:, None] * w).sum(axis=0)     # (m,)
+    and its analytic gradient in (probs, locations).
+
+    ``probs`` is ``(n,)`` and ``locations`` ``(n, m)``, or both carry a
+    leading batch axis, ``(R, n)`` and ``(R, n, m)``; sums run over the type
+    and resource axes only, so each batch row gets exactly its unbatched
+    values. The likelihood is a float for 1-D ``probs``, else ``(R,)``.
+    """
+    w = softmin_weights(locations)                         # (..., n, m)
+    lam = rate * (probs[..., None] * w).sum(axis=-2)       # (..., m)
     lam = np.maximum(lam, 1e-300)
-    nll = float(lam.sum() - (mean_counts * np.log(lam)).sum())
-    resid = 1.0 - mean_counts / lam                   # (m,)
-    grad_p = rate * (w * resid[None, :]).sum(axis=1)  # (n,)
-    inner = (w * resid[None, :]).sum(axis=1)          # (n,)
-    grad_c = rate * probs[:, None] * w * (inner[:, None] - resid[None, :])
-    return nll, grad_p, grad_c
+    nll = lam.sum(axis=-1) - (mean_counts * np.log(lam)).sum(axis=-1)
+    resid = 1.0 - mean_counts / lam                        # (..., m)
+    inner = (w * resid[..., None, :]).sum(axis=-1)         # (..., n)
+    grad_c = rate * probs[..., None] * w * (inner[..., None] - resid[..., None, :])
+    return (float(nll) if probs.ndim == 1 else nll), rate * inner, grad_c
 
 
 def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
@@ -352,39 +360,52 @@ def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
     quantity is Poisson with rate ``rate * sum_j p_j w_ji``; the Poisson
     likelihood depends on the data only through the mean counts, and is
     maximized by projected gradient descent (locations clipped to ``bounds``,
-    type probabilities projected to the simplex) over random restarts, each
-    on its own random stream. The per-interval arrival rate is estimated as
-    the mean interval total. Returns the restart with the highest likelihood.
+    type probabilities projected to the simplex) over random restarts. Each
+    restart draws its start from its own random stream; the restarts then
+    descend together as one batch, ``iters`` steps in all, and no sum mixes
+    two restarts, so each ends exactly where it would alone. The
+    per-interval arrival rate is estimated as the mean interval total.
+    Returns the first restart with the highest likelihood.
     """
+    lo, hi = bounds
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if n_types < 1:
+        raise ValueError(f"n_types must be at least 1, got {n_types}")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
     if obs.intervals == 0:
         raise ValueError("no observations")
     m = obs.m
     rate = float(obs.arrivals.mean())
     mean_counts = obs.counts.mean(axis=0)
-    lo, hi = bounds
     if obs.counts.sum() == 0:
         locs = np.full((n_types, m), hi)
         ll = _full_log_likelihood(np.ones(n_types) / n_types, locs, rate, obs)
         return MleResult(np.ones(n_types) / n_types, locs, ll, degenerate=True)
-    best_nll = np.inf
-    best = None
-    lls = np.empty(restarts)
+    c = np.empty((restarts, n_types, m))
+    p = np.ones((restarts, n_types))
     for r in range(restarts):
         rng = rng_stream(seed, "restarts", r)
-        c = rng.uniform(-3.0, 3.0, size=(n_types, m))
-        p = rng.dirichlet(np.ones(n_types)) if n_types > 1 else np.ones(1)
-        for _ in range(iters):
-            nll, gp, gc = mle_gradient(p, c, rate, mean_counts)
-            c = np.clip(c - step * gc, lo, hi)
-            if n_types > 1:
-                p = _project_simplex(p - step * gp)
-        nll, _, _ = mle_gradient(p, c, rate, mean_counts)
-        lls[r] = -nll
-        if nll < best_nll:
-            best_nll = nll
-            best = (p.copy(), c.copy())
-    p, c = best
-    return MleResult(p, c, _full_log_likelihood(p, c, rate, obs), restart_lls=lls)
+        c[r] = rng.uniform(-3.0, 3.0, size=(n_types, m))
+        if n_types > 1:
+            p[r] = rng.dirichlet(np.ones(n_types))
+    for _ in range(iters):
+        _, gp, gc = mle_gradient(p, c, rate, mean_counts)
+        c = np.clip(c - step * gc, lo, hi)
+        if n_types > 1:
+            p = _project_simplex(p - step * gp)
+    nll, _, _ = mle_gradient(p, c, rate, mean_counts)
+    finite = np.flatnonzero(nll < np.inf)
+    if len(finite) == 0:
+        raise ValueError("no restart reached a finite likelihood")
+    best = finite[np.argmin(nll[finite])]
+    return MleResult(p[best].copy(), c[best].copy(),
+                     _full_log_likelihood(p[best], c[best], rate, obs), restart_lls=-nll)
 
 
 def _full_log_likelihood(probs, locations, rate, obs: AggregateObservation) -> float:

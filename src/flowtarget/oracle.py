@@ -163,20 +163,6 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     return float(res.fun), z
 
 
-def _dual_value_and_choice(cost_inf, caps, priced):
-    """Inner assignment minimization of the Lagrangian: every unit of
-    availability goes to the cheapest price-adjusted option (or reject).
-    ``cost_inf`` holds the costs with infeasible options at +inf."""
-    adj = cost_inf[:, None, :] - priced[None, :, :]
-    best_i = adj.argmin(axis=2)
-    # indexing the picks beats a min over the short last axis on long grids
-    flat = adj.reshape(best_i.size, -1)
-    best_v = flat[np.arange(best_i.size), best_i.ravel()].reshape(best_i.shape)
-    assign = best_v <= 0.0
-    value = float((caps * np.where(assign, best_v, 0.0)).sum())
-    return value, np.where(assign, best_i, REJECT)
-
-
 def _project_cell_simplex(v: np.ndarray) -> np.ndarray:
     """Project each row of ``v`` onto {s >= 0, sum(s) <= 1} (reject as slack)."""
     clipped = np.maximum(v, 0.0)
@@ -205,6 +191,18 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     assignment shares, warm-started from the best average of the inner
     choices over doubling windows. The reported gap is best primal minus
     best dual.
+
+    Everything runs on the available cells only, the (type, window epoch)
+    pairs with ``caps > 0`` in (j, w) order: one per arrival in continuous
+    mode. Per-epoch totals of assigned counts are integers, so a
+    ``bincount`` sums them exactly; the per-epoch totals of fractional
+    counts add each cell in type order, as an axis-0 sum does. The other
+    float sums (the inner value, the polish's gradient norm and the
+    assignment cost) scatter the cell values into a zeroed full-shape buffer
+    and sum that, so numpy groups the terms exactly as it does on the full
+    ``(n, W, m)`` problem and every output keeps its bits. When every cell
+    is available, the cell arrays already have that layout and are summed
+    as they are.
     """
     grid, dens = _dev_rows(instance, window)
     n_eff, m = costs.shape
@@ -213,26 +211,34 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     mu = np.zeros((W, m))
     dead = ~((grid.d_plus > 0.0) | (grid.d_minus > 0.0))
     best_dual = -np.inf
-    cost_cell = np.where(feas, costs, 0.0)[:, None, :]
-    cost_inf = np.where(feas, costs, np.inf)
-    infeasible = ~feas[:, None, :].repeat(W, axis=1)
-    available = caps > 0
-    caps_cell = caps.astype(float)[:, :, None]
+    jj, ww = np.nonzero(caps > 0)
+    n_cells = len(jj)
+    cell_idx = np.arange(n_cells)
+    rows = jj * W + ww  # each cell's row in the full (n * W, ...) layout
+    caps_c = caps[jj, ww].astype(float)
+    caps_col = caps_c[:, None]
+    cost_c = np.where(feas, costs, 0.0)[jj]
+    cost_inf = np.where(feas, costs, np.inf)[jj]
+    infeasible = ~feas[jj]
+    cell_bins = (ww[:, None] * m + np.arange(m)).ravel()
     table = dev_price_table(grid.is_squared, grid.target, grid.d_plus, grid.d_minus)
+    value_buf = np.zeros(n_eff * W)
+    full_buf = np.zeros((n_eff * W, m))
 
-    def assemble(choice):
-        counts = np.zeros((n_eff, W, m))
-        jj, ww = np.nonzero((choice != REJECT) & available)
-        counts[jj, ww, choice[jj, ww]] = caps[jj, ww]
-        return counts
+    def full_sum(cell_values, buf):
+        if n_cells == len(buf):
+            return cell_values.sum()
+        buf[rows] = cell_values
+        return buf.sum()
 
     def averages(counts):
-        return (prior + counts.sum(axis=0).cumsum(axis=0)) / dens_col
+        per_epoch = np.bincount(cell_bins, weights=counts.ravel(), minlength=W * m)
+        return (prior + per_epoch.reshape(W, m).cumsum(axis=0)) / dens_col
 
     def counts_value(counts, avg):
-        return float((counts * cost_cell).sum() + (dens_col * grid.evaluate(avg)).sum())
+        return float(full_sum(counts * cost_c, full_buf) + (dens_col * grid.evaluate(avg)).sum())
 
-    avg_counts = np.zeros((n_eff, W, m))
+    avg_counts = np.zeros((n_cells, m))
     avg_n = 0
     best_avg = None  # (value, counts)
     best_mu = mu.copy()
@@ -249,7 +255,13 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         for s in range(1, per_round + 1):
             s_total += 1
             priced = mu[::-1].cumsum(axis=0)[::-1]  # price for epoch w sums rows >= w
-            x_val, choice = _dual_value_and_choice(cost_inf, caps, priced)
+            # inner minimization: each cell's availability goes to its
+            # cheapest price-adjusted option, or is rejected
+            adj = cost_inf - priced[ww]
+            best_i = adj.argmin(axis=1)
+            best_v = adj[cell_idx, best_i]
+            assign = best_v <= 0.0
+            x_val = float(full_sum(caps_c * np.where(assign, best_v, 0.0), value_buf))
             a_star = min_dev_plus_price(table, mu)
             dual = x_val + float((dens_col * (grid.evaluate(a_star) + mu * a_star)).sum()) \
                 - float((mu * prior).sum())
@@ -257,9 +269,10 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                 best_dual = dual
                 best_mu = mu.copy()
 
-            counts = assemble(choice)
-            per_cum = counts.sum(axis=0).cumsum(axis=0)
-            avg_counts += counts
+            took = np.where(assign, caps_c, 0.0)  # count assigned to best_i
+            per_epoch = np.bincount(ww * m + best_i, weights=took, minlength=W * m)
+            per_cum = per_epoch.reshape(W, m).cumsum(axis=0)
+            avg_counts[cell_idx, best_i] += took
             avg_n += 1
             if s_total == iterations or s_total & (s_total - 1) == 0:  # doubling windows
                 cand = avg_counts / avg_n
@@ -267,13 +280,15 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                 if best_avg is None or val < best_avg[0]:
                     best_avg = (val, cand)
                 if s_total < iterations:
-                    avg_counts = np.zeros((n_eff, W, m))
+                    avg_counts = np.zeros((n_cells, m))
                     avg_n = 0
 
             g = dens_col * a_star - prior - per_cum
             g[dead] = 0.0
             norm = float(np.sqrt((g * g).sum()))
             if norm == 0.0:
+                counts = np.zeros((n_cells, m))
+                counts[cell_idx, best_i] = took
                 val = counts_value(counts, averages(counts))
                 if best_avg is None or val < best_avg[0]:
                     best_avg = (val, counts)
@@ -284,8 +299,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
 
     # Primal polish: descend the true objective over per-cell shares.
     best_primal, counts0 = best_avg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = np.where(caps_cell > 0, counts0 / caps_cell, 0.0)
+    shares = counts0 / caps_col
     best_shares = shares.copy()
     rounds, step0 = 8, 0.5
     per_round = max(recover_iters // rounds, 1)
@@ -294,18 +308,18 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         if done:
             break
         shares = best_shares.copy()
-        avg = averages(caps_cell * shares)
+        avg = averages(caps_col * shares)
         for it in range(1, per_round + 1):
             tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]  # sum over w' >= w
-            grad = caps_cell * (cost_cell + tail[None, :, :])
+            grad = caps_col * (cost_c + tail[ww])
             grad[infeasible] = 0.0
-            nrm = float(np.sqrt((grad * grad).sum()))
+            nrm = float(np.sqrt(full_sum(grad * grad, full_buf)))
             if nrm == 0.0:
                 done = True
                 break
             shares = _project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
             shares[infeasible] = 0.0
-            counts = caps_cell * shares
+            counts = caps_col * shares
             avg = averages(counts)
             val = counts_value(counts, avg)
             if val < best_primal:
@@ -317,7 +331,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         step0 *= 0.3
 
     z = np.zeros((n_eff, m, instance.K))
-    z[:, :, window] = (caps_cell * best_shares).transpose(0, 2, 1)
+    z[jj, :, np.asarray(window)[ww]] = caps_col * best_shares
     return float(best_primal), float(best_dual), z
 
 
@@ -386,10 +400,13 @@ def proxy_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
 
 def _as_epoch_slice(instance, omega_k):
     """Accept either an ArrivalSequence or a bare type array holding exactly
-    one epoch of arrivals."""
+    one epoch of arrivals, each a type in ``[0, n)``."""
     arr = omega_k if isinstance(omega_k, ArrivalSequence) else np.asarray(omega_k, dtype=np.int64)
     if len(arr) != instance.epoch_len:
         raise ValueError("omega_k must hold exactly one epoch of arrivals")
+    if not isinstance(arr, ArrivalSequence) and (np.any(arr < 0) or np.any(arr >= instance.n)):
+        raise ValueError(f"omega_k types must lie in [0, {instance.n}), "
+                         f"got {arr.min()} to {arr.max()}")
     return arr
 
 

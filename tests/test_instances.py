@@ -1,8 +1,11 @@
 """Generators, the Gumbel/aggregate-count model and estimator, and the
 nonstationary-to-stationary reductions."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from flowtarget import (
     AggregateObservation,
@@ -186,6 +189,26 @@ class TestMle:
                           - mle_gradient(p, cm, rate, mean_counts)[0]) / (2 * h)
                     assert gc[j, i] == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize("n_types", [1, 3])
+    def test_batched_restarts_match_one_at_a_time(self, n_types):
+        from flowtarget.instances import _project_simplex
+        model = GumbelCostModel(locations=np.array([[-0.8, 0.9], [0.6, -0.5], [0.1, 1.0]]),
+                                probs=np.array([0.8, 0.15, 0.05]), rate=3.0)
+        obs = generate_observations(model, 400, seed=3)
+        rate, mean_counts = float(obs.arrivals.mean()), obs.counts.mean(axis=0)
+        res = estimate_gumbel_mle(obs, n_types=n_types, restarts=4, iters=120, step=0.3, seed=9)
+        for r in range(4):
+            rng = rng_stream(9, "restarts", r)
+            c = rng.uniform(-3.0, 3.0, size=(n_types, 2))
+            p = rng.dirichlet(np.ones(n_types)) if n_types > 1 else np.ones(1)
+            for _ in range(120):
+                _, gp, gc = mle_gradient(p, c, rate, mean_counts)
+                c = np.clip(c - 0.3 * gc, -50.0, 50.0)
+                if n_types > 1:
+                    p = _project_simplex(p - 0.3 * gp)
+            assert res.restart_lls[r] == -mle_gradient(p, c, rate, mean_counts)[0]
+        assert res.restart_lls.max() > res.restart_lls.min()
+
     def test_quick_recovery_from_sampled_counts(self):
         locs = np.array([[-0.33, 1.27, 0.21]])
         model = GumbelCostModel(locations=locs, rate=4.0)
@@ -209,6 +232,92 @@ class TestMle:
         random_ll = _full_log_likelihood(np.ones(1), rng.uniform(-3, 3, (1, 2)),
                                          float(obs.arrivals.mean()), obs)
         assert res.log_likelihood >= random_ll
+
+
+class TestMleInputValidation:
+    @pytest.fixture(scope="class")
+    def obs(self):
+        model = GumbelCostModel(locations=np.array([[0.2, -0.5]]), rate=3.0)
+        return generate_observations(model, 50, seed=6)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"restarts": 0}, "restarts"),
+        ({"n_types": 0}, "n_types"),
+        ({"iters": -1}, "iters"),
+        ({"step": float("nan")}, "step"),
+        ({"step": float("inf")}, "step"),
+        ({"step": 0.0}, "step"),
+        ({"step": -1.0}, "step"),
+        ({"bounds": (1.0, 1.0)}, "bounds"),
+        ({"bounds": (2.0, -2.0)}, "bounds"),
+        ({"bounds": (-np.inf, 50.0)}, "bounds"),
+        ({"bounds": (-50.0, float("nan"))}, "bounds"),
+    ])
+    def test_bad_parameter_is_named(self, obs, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            estimate_gumbel_mle(obs, **kwargs)
+
+    def test_zero_iters_returns_the_best_start(self, obs):
+        res = estimate_gumbel_mle(obs, restarts=3, iters=0, seed=4)
+        assert res.restart_lls.shape == (3,)
+        assert res.log_likelihood == pytest.approx(
+            res.restart_lls.max() * obs.intervals
+            - float(np.sum(gammaln(obs.counts + 1.0))), rel=1e-12)
+
+    def test_no_finite_restart_is_reported(self, obs, monkeypatch):
+        import flowtarget.instances as inst_mod
+        real = inst_mod.mle_gradient
+
+        def nan_likelihood(*args):
+            nll, gp, gc = real(*args)
+            return np.full_like(nll, np.nan), gp, gc
+
+        monkeypatch.setattr(inst_mod, "mle_gradient", nan_likelihood)
+        with pytest.raises(ValueError, match="no restart reached a finite likelihood"):
+            estimate_gumbel_mle(obs, restarts=2, iters=3)
+
+    def test_cli_passes_the_message_through(self, obs, tmp_path):
+        from flowtarget.cli import main as cli_main
+        path = str(tmp_path / "obs.csv")
+        obs.to_csv(path)
+        with pytest.raises(ValueError, match="^restarts must"):
+            cli_main(["mle", "--observations", path, "--restarts", "0", "--out", str(tmp_path)])
+
+
+def pinned_mle_fit(kind):
+    """Short MLE runs whose restarts end apart: one type, and two types whose
+    simplex projection clips the type mix to the boundary."""
+    if kind == "one-type":
+        model = GumbelCostModel(locations=np.array([[-0.33, 1.27, 0.21]]), rate=4.0)
+        obs = generate_observations(model, 2000, seed=5)
+        return estimate_gumbel_mle(obs, n_types=1, restarts=5, iters=150, seed=5)
+    model = GumbelCostModel(locations=np.array([[-0.8, 0.9, 0.3], [0.6, -0.5, 1.1]]),
+                            probs=np.array([0.9, 0.1]), rate=3.0)
+    obs = generate_observations(model, 2000, seed=6)
+    return estimate_gumbel_mle(obs, n_types=2, restarts=4, iters=300, step=0.2, seed=6)
+
+
+class TestMlePinned:
+    # exact log-likelihood and the SHA-256 of the locations', probabilities'
+    # and restart log-likelihoods' bytes, recorded from the estimator that
+    # ran its restarts one after another.
+    PINNED = {
+        "one-type": (-7198.73289352472,
+                     "4bdf4ebbc39c75040227ae1985621349cb941cd3f499593c7fc222920153bf2c",
+                     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+                     "ed5fdb49150ed2eb6e1e698c12012dd41271ee18c7fe70805709871ac8258baf"),
+        "two-type": (-6534.908154401957,
+                     "c888c9f02230ffa055562a2351edfed046afdf2bc3c58e59f77d4aa05ba4e7f8",
+                     "081e60a07837a8e4edc09444b2fee7c5b77c9f9898e2c209c741232acd0669df",
+                     "26ef9975bdbd73b38df9550235433b7bcaf635168e3ac3670a3ee192c6009809"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_outputs_are_bit_identical_to_recorded(self, kind):
+        res = pinned_mle_fit(kind)
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                        for a in (res.locations, res.probs, res.restart_lls))
+        assert (res.log_likelihood,) + digests == self.PINNED[kind]
 
 
 def random_profile(rng, K, T):

@@ -218,6 +218,17 @@ class TestWindowDegeneracies:
             assert off.objective <= online + 1e-7 * abs(online) + 1e-7
 
 
+class TestBareTypeArrays:
+    @pytest.mark.parametrize("solve", [myopic_offline, proxy_offline])
+    @pytest.mark.parametrize("bad", ["n", "-1"])
+    def test_out_of_range_type_names_omega_k(self, solve, bad):
+        inst = random_instance(3, max_K=2, max_T=40)
+        types = np.zeros(inst.epoch_len, dtype=int)
+        types[-1] = inst.n if bad == "n" else -1
+        with pytest.raises(ValueError, match=rf"omega_k types must lie in \[0, {inst.n}\)"):
+            solve(inst, types, np.zeros(inst.m), 0)
+
+
 class TestCumulativeProxyCost:
     def test_single_epoch_equals_total_cost(self):
         inst = random_instance(51, max_K=1, max_T=80)
@@ -261,11 +272,38 @@ def pinned_dual_problem(kind):
     return inst, sample_arrivals(inst, 7)
 
 
+def pinned_dual_solve(kind):
+    """The dual backend on the three hindsight problems, a typed proxy window
+    with unavailable (type, epoch) cells and an infeasible type, its myopic
+    twin, and a continuous proxy window."""
+    if kind == "continuous-proxy":
+        inst, omega = pinned_dual_problem("continuous")
+        step = inst.epoch_len
+        return proxy_offline(inst, ArrivalSequence(cost_vectors=omega.cost_vectors[step:2 * step]),
+                             np.array([4.0, 1.0, 2.5]), 1, backend=DUAL_SUBGRADIENT, dual_iters=2000)
+    if kind.startswith("typed-"):
+        # types 0 and 2 only: type 1 is never available, type 2 has no resource
+        types = np.array([0, 2, 0, 0, 2, 0, 2, 0, 0, 2])
+        solve = proxy_offline if kind == "typed-proxy-window" else myopic_offline
+        return solve(pinned_lp_instance(), types, np.array([3.0, 4.0, 1.0]), 1,
+                     backend=DUAL_SUBGRADIENT, dual_iters=2000)
+    inst, omega = pinned_dual_problem(kind)
+    return hindsight_optimum(inst, omega, backend=DUAL_SUBGRADIENT, dual_iters=2000)
+
+
 class TestDualBackendPinned:
     # objective, dual bound and the SHA-256 of the counts' bytes, recorded
     # from the dual backend before its deviation-price table and hoisted
-    # loop invariants; those changes must not move a single bit.
+    # loop invariants (the three hindsight problems), and before it worked on
+    # available cells only (the three windows); neither change may move a
+    # single bit.
     PINNED = {
+        "typed-proxy-window": (-1.7763568394002505e-15, -0.0010417817460566248,
+                               "adf32461184253f8d4f65e5ccf25cca0d71e5329b82bebfbdcd9dc691506c41b"),
+        "typed-myopic-window": (-1.8000000000000012, -1.8003593714867323,
+                                "2ef51c5e52991eb7423ef4b8f3ab13e730e076dc673d0524fef7eda0913532ae"),
+        "continuous-proxy": (-24.023567576867848, -24.027003624823074,
+                             "f7028e54299d6cd44eca8436ff40708084d5d5645ea230d69ebccc5603aaa282"),
         "typed": (-10.506631665729852, -10.520643673029186,
                   "a739da11719b8d9dbe7313dc8fb0c6f16db43421ab2b82c9c5756e12083715cf"),
         "squared": (-37.21144526690611, -37.213839062277366,
@@ -276,8 +314,7 @@ class TestDualBackendPinned:
 
     @pytest.mark.parametrize("kind", sorted(PINNED))
     def test_outputs_are_bit_identical_to_recorded(self, kind):
-        inst, omega = pinned_dual_problem(kind)
-        ds = hindsight_optimum(inst, omega, backend=DUAL_SUBGRADIENT, dual_iters=2000)
+        ds = pinned_dual_solve(kind)
         digest = hashlib.sha256(np.ascontiguousarray(ds.counts).tobytes()).hexdigest()
         assert (ds.objective, ds.dual_bound, digest) == self.PINNED[kind]
 
