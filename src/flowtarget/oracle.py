@@ -401,10 +401,15 @@ def proxy_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
 def _as_epoch_slice(instance, omega_k):
     """Accept either an ArrivalSequence or a bare type array holding exactly
     one epoch of arrivals, each a type in ``[0, n)``."""
-    arr = omega_k if isinstance(omega_k, ArrivalSequence) else np.asarray(omega_k, dtype=np.int64)
-    if len(arr) != instance.epoch_len:
+    if len(omega_k) != instance.epoch_len:
         raise ValueError("omega_k must hold exactly one epoch of arrivals")
-    if not isinstance(arr, ArrivalSequence) and (np.any(arr < 0) or np.any(arr >= instance.n)):
+    if isinstance(omega_k, ArrivalSequence):
+        return omega_k
+    num = np.asarray(omega_k, dtype=float)
+    if not np.all(np.isfinite(num)) or np.any(num != np.round(num)):
+        raise ValueError("omega_k types must be integers")
+    arr = num.astype(np.int64)
+    if np.any(arr < 0) or np.any(arr >= instance.n):
         raise ValueError(f"omega_k types must lie in [0, {instance.n}), "
                          f"got {arr.min()} to {arr.max()}")
     return arr

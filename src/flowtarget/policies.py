@@ -12,7 +12,10 @@ after the loop, from the decisions by
 
 * :func:`run_proxy_dual_gd` -- dual gradient descent with proxy assignments,
   one shadow-price row per epoch, future-epoch proxy decisions, a coupled
-  idealized-consumption solve, and a per-epoch dual reset.
+  idealized-consumption solve, and a per-epoch dual reset. The solve's
+  price-free inputs (a chain table of targets, penalty weights and
+  curvatures per resource) are built once per epoch; each period only
+  prices the table and runs one :func:`chain_prefix_argmin` per resource.
 * :func:`run_myopic` -- per-epoch single-epoch runs driven by epoch-local
   targets (variants ``me`` and ``smart-me``).
 * :func:`run_single_epoch_dgd` -- the single-epoch dual gradient descent
@@ -107,15 +110,26 @@ class RunResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def proxy_assign(cost_vector: np.ndarray, feasible: np.ndarray, dual_row: np.ndarray) -> int:
-    """Dual-adjusted assignment decision for one arrival and one price row.
+def proxy_assign(cost_vector: np.ndarray, feasible: np.ndarray,
+                 dual_row: np.ndarray) -> int | list[int]:
+    """Dual-adjusted assignment decision for one arrival.
 
     Returns the feasible resource minimizing ``c_i - mu_i`` when that minimum
-    is <= 0 (rejecting costs exactly 0), otherwise ``REJECT``.
+    is <= 0 (rejecting costs exactly 0), otherwise ``REJECT``; among tied
+    minimizers the lowest index wins. A stacked (R, m) price matrix is priced
+    in one array expression and gives the list of the R rows' decisions.
     """
     adj = np.where(feasible, cost_vector - dual_row, np.inf)
-    i = int(np.argmin(adj))
-    return i if adj[i] <= 0.0 else REJECT
+    if adj.ndim == 2:
+        return [_cheapest(row) for row in adj.tolist()]
+    return _cheapest(adj.tolist())
+
+
+def _cheapest(adj: list) -> int:
+    """First index of the minimum of ``adj`` when it is <= 0, else REJECT
+    (the same pick as ``np.argmin``, on a short list)."""
+    best = min(adj)
+    return adj.index(best) if best <= 0.0 else REJECT
 
 
 def ogd_update(mu_row: np.ndarray, a_row: np.ndarray, x_row: np.ndarray, eta: float) -> np.ndarray:
@@ -139,36 +153,54 @@ def idealized_consumption(
 
     (0-based epoch indices; the weight is the 1-based epoch number). The
     minimizer is exact for every deviation family: each resource's column is
-    solved by the prefix-variable dynamic program :func:`chain_prefix_argmin`.
+    solved by the prefix-variable dynamic program :func:`chain_prefix_argmin`,
+    on the same per-epoch chain table that :func:`run_proxy_dual_gd` builds
+    once per epoch and prices every period.
     """
     K, m = instance.K, instance.m
     duals = np.asarray(duals, dtype=float)
     R = K - epoch
     if duals.shape != (R, m):
         raise ValueError(f"expected duals of shape {(R, m)}")
+    if not np.all(np.isfinite(duals)):
+        raise ValueError("duals must be finite")
     prior = np.asarray(prior_consumption, dtype=float)
+    if prior.shape != (m,):
+        raise ValueError(f"prior_consumption must have shape {(m,)}, got {prior.shape}")
+    if not np.all(np.isfinite(prior)) or np.any(prior < 0.0):
+        raise ValueError("prior_consumption must be finite and nonnegative")
     limit = epoch * instance.epoch_len
     if np.any(prior > limit + 1e-9):
         raise ValueError("prior consumption exceeds the periods elapsed")
-    return _aux_solve(instance, epoch, duals, prior)
+    return _chain_solve(_chain_table(instance, epoch, prior), duals)
 
 
-def _aux_solve(instance, epoch, duals, prior):
-    K, m = instance.K, instance.m
-    R = K - epoch
+def _chain_table(instance: Instance, epoch: int, prior: np.ndarray) -> list:
+    """The price-free inputs of :func:`chain_prefix_argmin` for the epochs
+    ``epoch..K-1``: per resource column, lists of ``tau``, ``d+``, ``d-``
+    and curvature. They depend on the consumption ``prior`` to the epoch's
+    start only, so one table serves every period of the epoch."""
+    K = instance.K
     grid = instance.dev_grid
     x_units = prior * K / instance.T
     weights = np.arange(epoch + 1, K + 1, dtype=float)       # 1-based epoch numbers
     tau = weights[:, None] * instance.targets[epoch:] - x_units[None, :]
-    nu = duals.copy()
-    nu[:-1] -= duals[1:]
     dp = grid.d_plus[epoch:]
     dm = grid.d_minus[epoch:]
     # a squared stage in prefix units: w d ((x + s) / w - rho)^2 = (d / w) (s - tau)^2
     curv = np.where(grid.is_squared[epoch:], dp, 0.0) / weights[:, None]
-    a = np.empty((R, m))
-    for i in range(m):
-        a[:, i] = chain_prefix_argmin(tau[:, i], dp[:, i], dm[:, i], nu[:, i], curv[:, i])
+    return list(zip(tau.T.tolist(), dp.T.tolist(), dm.T.tolist(), curv.T.tolist()))
+
+
+def _chain_solve(table: list, duals: np.ndarray) -> np.ndarray:
+    """Idealized consumptions of the table's epochs at the price rows
+    ``duals``: in prefix variables epoch ``q``'s price is
+    ``nu_q = duals_q - duals_{q+1}`` (the last epoch's is its own row)."""
+    a = np.empty(duals.shape)
+    for i, (col, (tau, dp, dm, curv)) in enumerate(zip(duals.T.tolist(), table)):
+        nu = [d - d_next for d, d_next in zip(col, col[1:])]
+        nu.append(col[-1])
+        a[:, i] = chain_prefix_argmin(tau, dp, dm, nu, curv)
     return a
 
 
@@ -186,15 +218,23 @@ def _consumption_rows(m: int) -> np.ndarray:
     return np.vstack([np.eye(m), np.zeros(m)])
 
 
-def _step(mu: np.ndarray, a: np.ndarray, x_ind: np.ndarray, flat: np.ndarray, eta: float) -> np.ndarray:
+def _flat_coordinates(free: np.ndarray) -> Optional[np.ndarray]:
+    """``free`` when some coordinate in it is penalty-free, else None, so
+    that :func:`_step` skips the flat-coordinate test for a whole epoch."""
+    return free if free.any() else None
+
+
+def _step(mu: np.ndarray, a: np.ndarray, x_ind: np.ndarray, flat: Optional[np.ndarray],
+          eta: float) -> np.ndarray:
     """Take the OGD step on the price rows ``mu`` in place and return the
     idealized consumptions ``a``. Among minimizers of a flat coordinate ``a``
     takes the implemented decision, which keeps a penalty-free coordinate's
-    price at zero."""
-    mask = flat & (mu == 0.0)
-    if mask.any():
-        a = a.copy()
-        a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
+    price at zero; ``flat`` is None when no coordinate is flat."""
+    if flat is not None:
+        mask = flat & (mu == 0.0)
+        if mask.any():
+            a = a.copy()
+            a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
     mu += eta * (a - x_ind)
     return a
 
@@ -277,19 +317,21 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
     proxy_dec = np.full((T, K), PROXY_NA, dtype=np.int16)
     flat_tail = _zero_penalty_tail(instance)
     consumed = _consumption_rows(m)
-    prior = np.zeros(m)
+    table = flat = None
 
     def epoch_start(k, totals):
-        nonlocal prior
+        nonlocal table, flat
         mu[k:] = mu_init[k:]
-        prior = totals.astype(float)
+        table = _chain_table(instance, k, totals.astype(float))
+        flat = _flat_coordinates(flat_tail[k:])
         return slice(k, None)
 
     def update(t, k, x, cvec, feas):
         rows = mu[k:]
-        proxy_dec[t, k:] = [x] + [proxy_assign(cvec, feas, row) for row in rows[1:]]
-        x_ind = consumed[proxy_dec[t, k:]]
-        return _step(rows, _aux_solve(instance, k, rows, prior), x_ind, flat_tail[k:], eta)
+        dec = proxy_dec[t, k:]
+        dec[0] = x
+        dec[1:] = proxy_assign(cvec, feas, rows[1:])
+        return _step(rows, _chain_solve(table, rows), consumed[dec], flat, eta)
 
     return _simulate("proxy-dgd", instance, arrivals, eta, mu, epoch_start,
                      lambda k: mu[k], update, proxy_dec=proxy_dec)
@@ -348,16 +390,17 @@ def run_myopic(instance: Instance, arrivals: ArrivalSequence,
     grid = instance.dev_grid
     flat_rows = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
     consumed = _consumption_rows(m)
-    table = None
+    table = flat = None
 
     def epoch_start(k, totals):
-        nonlocal table
+        nonlocal table, flat
         target = myopic_epoch_targets(instance, k, variant, totals)
         table = dev_price_table(grid.is_squared[k], target, grid.d_plus[k], grid.d_minus[k])
+        flat = _flat_coordinates(flat_rows[k])
         return k
 
     def update(t, k, x, cvec, feas):
-        return _step(mu[k], min_dev_plus_price(table, mu[k]), consumed[x], flat_rows[k], eta)
+        return _step(mu[k], min_dev_plus_price(table, mu[k]), consumed[x], flat, eta)
 
     t = np.arange(T + 1)[:, None]
     lag = t // step - np.arange(K)
@@ -383,16 +426,17 @@ def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
     grid = instance.dev_grid
     flat_rows = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
     consumed = _consumption_rows(m)
-    table = None
+    table = flat = None
 
     def epoch_start(k, totals):
-        nonlocal table
+        nonlocal table, flat
         table = dev_price_table(grid.is_squared[k:], grid.target[k:],
                                 grid.d_plus[k:], grid.d_minus[k:])
+        flat = _flat_coordinates(flat_rows[k:])
         return slice(k, None)
 
     def update(t, k, x, cvec, feas):
-        return _step(mu[k:], min_dev_plus_price(table, mu[k:]), consumed[x], flat_rows[k:], eta)
+        return _step(mu[k:], min_dev_plus_price(table, mu[k:]), consumed[x], flat, eta)
 
     return _simulate("naive-pd", instance, arrivals, eta, mu, epoch_start,
                      lambda k: mu[k:].sum(axis=0), update)

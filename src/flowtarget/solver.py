@@ -127,99 +127,106 @@ def min_dev_plus_price(table: DevPriceTable, price: np.ndarray) -> np.ndarray:
     return np.where(mask, sq, a)
 
 
-def _leftmost_argmin(bp: list, cs: list, es: list) -> tuple[float, int, bool]:
-    """Leftmost minimizer of a convex piecewise-quadratic function on the reals.
-
-    Segment ``j`` spans ``(bp[j-1], bp[j])`` and has derivative
-    ``cs[j] * s + es[j]``. Returns the minimizer, the index of its segment
-    and whether it lies strictly inside that segment (otherwise it is the
-    segment's left end); -inf when the function is nondecreasing from the
-    left and +inf when it decreases forever.
-    """
-    left = -np.inf
-    last = len(bp)
-    for j, (c, e) in enumerate(zip(cs, es)):
-        if (e if c == 0.0 else c * left + e) >= 0.0:
-            return left, j, False
-        if c > 0.0:
-            root = -e / c
-            if j == last or root < bp[j]:
-                return root, j, True
-        if j < last:
-            left = bp[j]
-    return np.inf, last, False
+def _floats(v):
+    """Arrays as lists of Python floats, for the scalar loops below."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def _window_min(bp: list, cs: list, es: list, argmin: float, j: int,
-                inside: bool) -> tuple[list, list, list]:
-    """The function ``u -> min over s in [u, u+1] of V(s)`` for convex ``V``.
-
-    By convexity the window minimum is ``V`` evaluated at the projection of
-    its global argmin onto [u, u+1]: segments left of the argmin shift by
-    -1 (derivative ``c*s + e`` becomes ``c*s + e + c``), a flat segment of
-    length 1 follows, and the rest is unchanged; an argmin inside segment
-    ``j`` splits that segment.
-    """
-    if argmin == -np.inf:
-        return bp, cs, es
-    if argmin == np.inf:
-        return [b - 1.0 for b in bp], cs, [e + c for c, e in zip(cs, es)]
-    k = j + inside  # segments left of the argmin, a split one included
-    return ([b - 1.0 for b in bp[: k - 1]] + [argmin - 1.0, argmin] + bp[j:],
-            cs[:k] + [0.0] + cs[j:],
-            [e + c for c, e in zip(cs[:k], es[:k])] + [0.0] + es[j:])
-
-
-def chain_prefix_argmin(tau: np.ndarray, d_plus: np.ndarray, d_minus: np.ndarray,
-                        nu: np.ndarray, curvature: Optional[np.ndarray] = None) -> np.ndarray:
+def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
     """Exact minimizer of a prefix-coupled convex objective.
 
     Minimizes ``sum_q [phi_q(s_q) + nu_q s_q]`` over prefix sums ``s`` with
     ``s_0 = 0`` and increments ``s_q - s_{q-1}`` in [0, 1], returning the
-    increments. Stage ``q`` is squared, ``phi_q(s) = curvature_q (s - tau_q)^2``,
-    when ``curvature_q > 0`` and piecewise linear,
-    ``phi_q(s) = d+_q (s - tau_q)^+ + d-_q (tau_q - s)^+``, otherwise. This
-    is the multi-epoch idealized average-consumption problem for one
-    resource, rewritten in cumulative variables (each epoch's deviation
-    term depends only on the consumption prefix).
+    increments as an array. Stage ``q`` is squared,
+    ``phi_q(s) = curvature_q (s - tau_q)^2``, when ``curvature_q > 0`` and
+    piecewise linear, ``phi_q(s) = d+_q (s - tau_q)^+ + d-_q (tau_q - s)^+``,
+    otherwise. This is the multi-epoch idealized average-consumption problem
+    for one resource, rewritten in cumulative variables (each epoch's
+    deviation term depends only on the consumption prefix). The inputs are
+    float arrays or lists; lists are only read, so a caller can build the
+    price-free ones once and reuse them across calls.
 
     The backward pass builds the convex value-to-go functions as
-    breakpoints plus a derivative ``c*s + e`` per segment; the forward pass
-    clamps each stage's global argmin into the sliding feasibility window.
-    Flat stretches resolve to their left end.
+    breakpoints plus a derivative ``c*s + e`` per segment, takes each
+    stage's leftmost global argmin, and replaces the function by its
+    window minimum ``u -> min over s in [u, u+1]``: by convexity that is the
+    function at the argmin's projection onto the window, so segments left of
+    the argmin shift by -1 (``e`` becomes ``e + c``) and a flat segment of
+    length 1 follows. Until a squared stage appears every segment has
+    ``c = 0``, the derivatives ``e`` are nondecreasing and the argmin is
+    found by bisection. The forward pass clamps each stage's argmin into the
+    sliding feasibility window. Flat stretches resolve to their left end.
     """
+    tau, d_plus, d_minus, nu = _floats(tau), _floats(d_plus), _floats(d_minus), _floats(nu)
+    curv = _floats(curvature)
     R = len(tau)
-    tau, d_plus, d_minus, nu = tau.tolist(), d_plus.tolist(), d_minus.tolist(), nu.tolist()
-    curv = [0.0] * R if curvature is None else curvature.tolist()
     bp: list = []
-    cs: list = [0.0]
-    es: list = [0.0]
+    cs = None  # per-segment curvatures; None while every segment is linear
+    es = [0.0]
     argmins = [0.0] * R
     for q in range(R - 1, -1, -1):
-        if curv[q] > 0.0:
+        if curv is not None and curv[q] > 0.0:
             c_q = 2.0 * curv[q]
             e_q = nu[q] - c_q * tau[q]
-            cs = [c + c_q for c in cs]
+            cs = [c_q] * len(es) if cs is None else [c + c_q for c in cs]
             es = [e + e_q for e in es]
         elif d_plus[q] > 0.0 or d_minus[q] > 0.0:
             t = tau[q]
             p = bisect_left(bp, t)
             if p == len(bp) or bp[p] != t:  # split segment p at the new kink
                 bp.insert(p, t)
-                cs.insert(p, cs[p])
                 es.insert(p, es[p])
+                if cs is not None:
+                    cs.insert(p, cs[p])
             lo, hi = nu[q] - d_minus[q], nu[q] + d_plus[q]
             es = [e + lo for e in es[: p + 1]] + [e + hi for e in es[p + 1:]]
         else:
             es = [e + nu[q] for e in es]
-        mstar, j, inside = _leftmost_argmin(bp, cs, es)
+        last = len(bp)
+        inside = False
+        if cs is None:
+            # the derivatives are nondecreasing: the argmin is the left end
+            # of the first segment with e >= 0
+            j = bisect_left(es, 0.0)
+            mstar = -np.inf if j == 0 else (np.inf if j > last else bp[j - 1])
+        else:  # leftmost argmin: in segment j, strictly inside or at its left end
+            mstar, j = np.inf, last
+            left = -np.inf
+            for jj, (c, e) in enumerate(zip(cs, es)):
+                if (e if c == 0.0 else c * left + e) >= 0.0:
+                    mstar, j = left, jj
+                    break
+                if c > 0.0:
+                    root = -e / c
+                    if jj == last or root < bp[jj]:
+                        mstar, j, inside = root, jj, True
+                        break
+                if jj < last:
+                    left = bp[jj]
         argmins[q] = mstar
-        if q > 0:
-            bp, cs, es = _window_min(bp, cs, es, mstar, j, inside)
-    a = np.empty(R)
+        if q == 0 or mstar == -np.inf:
+            continue
+        # window minimum: segments left of the argmin shift by -1 (e becomes
+        # e + c, exactly e on linear segments) and a flat one follows; once a
+        # squared stage is in, the last segment is curved, so only a linear
+        # function decreases forever
+        if mstar == np.inf:
+            bp = [b - 1.0 for b in bp]
+        elif cs is None:
+            bp = [b - 1.0 for b in bp[:j]] + [mstar] + bp[j:]
+            es.insert(j, 0.0)
+        else:
+            k = j + inside  # segments left of the argmin, a split one included
+            bp = [b - 1.0 for b in bp[: k - 1]] + [mstar - 1.0, mstar] + bp[j:]
+            es = [e + c for c, e in zip(cs[:k], es[:k])] + [0.0] + es[j:]
+            cs = cs[:k] + [0.0] + cs[j:]
+    a = []
     s_prev = 0.0
-    for q in range(R):
-        s = min(max(argmins[q], s_prev), s_prev + 1.0)
-        a[q] = s - s_prev
+    for s in argmins:  # clamp into [s_prev, s_prev + 1], as min(max(s, lo), hi)
+        if s_prev > s:
+            s = s_prev
+        elif s_prev + 1.0 < s:
+            s = s_prev + 1.0
+        a.append(s - s_prev)
         s_prev = s
-    return a
+    return np.array(a)

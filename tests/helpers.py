@@ -1,5 +1,7 @@
 """Shared independent oracles for the test suite."""
 
+from bisect import bisect_left
+
 import numpy as np
 
 from flowtarget.core import DeviationCost
@@ -132,6 +134,70 @@ def legacy_chain_prefix_argmin(tau, d_plus, d_minus, nu):
         argmins[q] = mstar
         if q > 0:
             win_bp, win_sl = window_min(bp, sl, mstar)
+    a = np.empty(R)
+    s_prev = 0.0
+    for q in range(R):
+        s = min(max(argmins[q], s_prev), s_prev + 1.0)
+        a[q] = s - s_prev
+        s_prev = s
+    return a
+
+
+def reference_chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None):
+    """Frozen copy of the piecewise-quadratic prefix DP as it stood before
+    its leftmost-argmin and window-minimum helpers were inlined, kept as a
+    bit-for-bit reference for every penalty family (array inputs only)."""
+
+    def leftmost_argmin(bp, cs, es):
+        left = -np.inf
+        last = len(bp)
+        for j, (c, e) in enumerate(zip(cs, es)):
+            if (e if c == 0.0 else c * left + e) >= 0.0:
+                return left, j, False
+            if c > 0.0:
+                root = -e / c
+                if j == last or root < bp[j]:
+                    return root, j, True
+            if j < last:
+                left = bp[j]
+        return np.inf, last, False
+
+    def window_min(bp, cs, es, argmin, j, inside):
+        if argmin == -np.inf:
+            return bp, cs, es
+        if argmin == np.inf:
+            return [b - 1.0 for b in bp], cs, [e + c for c, e in zip(cs, es)]
+        k = j + inside
+        return ([b - 1.0 for b in bp[: k - 1]] + [argmin - 1.0, argmin] + bp[j:],
+                cs[:k] + [0.0] + cs[j:],
+                [e + c for c, e in zip(cs[:k], es[:k])] + [0.0] + es[j:])
+
+    R = len(tau)
+    tau, d_plus, d_minus, nu = tau.tolist(), d_plus.tolist(), d_minus.tolist(), nu.tolist()
+    curv = [0.0] * R if curvature is None else curvature.tolist()
+    bp, cs, es = [], [0.0], [0.0]
+    argmins = [0.0] * R
+    for q in range(R - 1, -1, -1):
+        if curv[q] > 0.0:
+            c_q = 2.0 * curv[q]
+            e_q = nu[q] - c_q * tau[q]
+            cs = [c + c_q for c in cs]
+            es = [e + e_q for e in es]
+        elif d_plus[q] > 0.0 or d_minus[q] > 0.0:
+            t = tau[q]
+            p = bisect_left(bp, t)
+            if p == len(bp) or bp[p] != t:
+                bp.insert(p, t)
+                cs.insert(p, cs[p])
+                es.insert(p, es[p])
+            lo, hi = nu[q] - d_minus[q], nu[q] + d_plus[q]
+            es = [e + lo for e in es[: p + 1]] + [e + hi for e in es[p + 1:]]
+        else:
+            es = [e + nu[q] for e in es]
+        mstar, j, inside = leftmost_argmin(bp, cs, es)
+        argmins[q] = mstar
+        if q > 0:
+            bp, cs, es = window_min(bp, cs, es, mstar, j, inside)
     a = np.empty(R)
     s_prev = 0.0
     for q in range(R):

@@ -228,6 +228,20 @@ class TestBareTypeArrays:
         with pytest.raises(ValueError, match=rf"omega_k types must lie in \[0, {inst.n}\)"):
             solve(inst, types, np.zeros(inst.m), 0)
 
+    @pytest.mark.parametrize("solve", [myopic_offline, proxy_offline])
+    @pytest.mark.parametrize("bad", [0.7, np.nan, np.inf])
+    def test_non_integral_type_names_omega_k(self, solve, bad):
+        # a fractional type array used to be truncated to all zeros
+        inst = random_instance(3, max_K=2, max_T=40)
+        with pytest.raises(ValueError, match="omega_k types must be integers"):
+            solve(inst, np.full(inst.epoch_len, bad), np.zeros(inst.m), 0)
+
+    def test_integral_float_types_are_accepted(self):
+        inst = random_instance(3, max_K=2, max_T=40)
+        types = np.arange(inst.epoch_len) % inst.n
+        want = myopic_offline(inst, types, np.zeros(inst.m), 0).objective
+        assert myopic_offline(inst, types.astype(float), np.zeros(inst.m), 0).objective == want
+
 
 class TestCumulativeProxyCost:
     def test_single_epoch_equals_total_cost(self):

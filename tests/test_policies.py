@@ -63,6 +63,32 @@ class TestProxyAssign:
         assert proxy_assign(np.array([-2.0, -1.0]), np.array([False, True]), np.zeros(2)) == 1
         assert proxy_assign(np.array([-2.0]), np.array([False]), np.zeros(1)) == REJECT
 
+    def test_stacked_rows_each_decide(self):
+        # tie (lowest index wins), adjusted cost exactly 0 (assign),
+        # masked cheaper resource, everything positive, all masked
+        cost = np.array([0.5, 0.5, -3.0])
+        feasible = np.array([True, True, False])
+        rows = np.array([[1.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.75, 9.0], [0.0, 0.0, 9.0]])
+        assert proxy_assign(cost, feasible, rows) == [0, 0, 1, REJECT]
+        assert proxy_assign(cost, np.zeros(3, dtype=bool), rows[:2]) == [REJECT, REJECT]
+        assert proxy_assign(cost, feasible, rows[:0]) == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_stacked_equals_row_by_row(self, m):
+        # dyadic values make exact ties and exact zero adjusted costs common
+        rng = np.random.default_rng(m)
+        for _ in range(400):
+            R = int(rng.integers(1, 5))
+            cost = rng.integers(-4, 5, size=m) * 0.25
+            feasible = rng.random(m) < 0.7
+            rows = rng.integers(-4, 5, size=(R, m)) * 0.25
+            got = proxy_assign(cost, feasible, rows)
+            assert got == [proxy_assign(cost, feasible, row) for row in rows]
+            adj = np.where(feasible, cost - rows, np.inf)
+            pick = np.argmin(adj, axis=1)
+            want = np.where(adj[np.arange(R), pick] <= 0.0, pick, REJECT)
+            assert got == want.tolist()
+
 
 class TestOgdUpdate:
     def test_direct_arithmetic(self):
@@ -133,6 +159,24 @@ class TestIdealizedConsumption:
         inst = idle_then_full_instance(1.0, 10)
         with pytest.raises(ValueError, match="prior"):
             idealized_consumption(inst, 1, np.zeros((1, 1)), np.array([9.0]))
+
+    @pytest.mark.parametrize("case", ["prior shape", "negative prior", "NaN prior", "NaN duals"])
+    def test_bad_input_is_rejected_naming_it(self, case):
+        # these once passed silently: a one-element prior broadcast to every
+        # resource, a prior of -50 was accepted and NaN prices gave all ones
+        inst = generate_synthetic(SyntheticParams(T=30))
+        duals, prior = np.zeros((2, 3)), np.zeros(3)
+        match = "prior_consumption must be finite and nonnegative"
+        if case == "prior shape":
+            prior, match = np.array([5.0]), r"prior_consumption must have shape \(3,\)"
+        elif case == "negative prior":
+            prior[0] = -50.0
+        elif case == "NaN prior":
+            prior[1] = np.nan
+        else:
+            duals[0, 1], match = np.nan, "duals must be finite"
+        with pytest.raises(ValueError, match=match):
+            idealized_consumption(inst, 1, duals, prior)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_path_matches_subgradient_solver(self, seed):

@@ -19,6 +19,7 @@ from helpers import (
     legacy_chain_prefix_argmin,
     legacy_min_dev_plus_price,
     random_composite,
+    reference_chain_prefix_argmin,
 )
 
 
@@ -170,6 +171,34 @@ def random_chain(rng, R, squared_share):
     return tau, dp, dm, nu, curv
 
 
+REFERENCE_KINDS = ["uniform", "dyadic", "coinciding", "unbounded"]
+
+
+def reference_case(rng, kind):
+    """A chain of 1 to 6 stages for the frozen-reference comparison.
+
+    Dyadic values make exact ties (equal kinks, zero derivatives, roots on
+    breakpoints); ``coinciding`` draws the kinks from four points; and
+    ``unbounded`` shifts every price by +-20, so the stage argmins are
+    +-inf on linear chains. Some stages carry no weight at all."""
+    R = int(rng.integers(1, 7))
+    if kind == "uniform":
+        tau, dp, dm, nu, curv = random_chain(rng, R, 0.3)
+    else:
+        tau = rng.integers(-2, 4 * R + 3, size=R) * 0.25
+        if kind == "coinciding":
+            tau = rng.choice([0.0, 0.5, 1.0, 1.5], size=R)
+        dp, dm = (np.where(rng.random(R) < 0.2, 0.0, rng.integers(1, 9, size=R) * 0.25)
+                  for _ in range(2))
+        nu = rng.integers(-8, 9, size=R) * 0.25
+        curv = np.where(rng.random(R) < 0.3, rng.integers(1, 9, size=R) * 0.125, 0.0)
+        if kind == "unbounded":
+            nu = nu + rng.choice([-20.0, 20.0])
+    idle = rng.random(R) < 0.15
+    dp[idle] = dm[idle] = curv[idle] = 0.0
+    return tau, dp, dm, nu, (curv if curv.any() or rng.random() < 0.5 else None)
+
+
 class TestChainPrefixArgmin:
     def test_single_row_examples(self):
         # absolute penalty toward 0.6 with a small price keeps the target;
@@ -212,6 +241,18 @@ class TestChainPrefixArgmin:
             want = legacy_chain_prefix_argmin(tau, dp, dm, nu)
             assert np.array_equal(chain_prefix_argmin(tau, dp, dm, nu), want)
             assert np.array_equal(chain_prefix_argmin(tau, dp, dm, nu, np.zeros(R)), want)
+
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    def test_matches_frozen_reference_bit_for_bit(self, kind):
+        # 4 x 12 500 chains; list inputs give the same bytes and stay unchanged
+        rng = np.random.default_rng(REFERENCE_KINDS.index(kind) + 40)
+        for _ in range(12_500):
+            args = reference_case(rng, kind)
+            want = reference_chain_prefix_argmin(*args).tobytes()
+            assert chain_prefix_argmin(*args).tobytes() == want
+            lists = [None if v is None else v.tolist() for v in args]
+            assert chain_prefix_argmin(*lists).tobytes() == want
+            assert lists == [None if v is None else v.tolist() for v in args]
 
     @pytest.mark.parametrize("R", [1, 2, 3, 4])
     def test_squared_and_mixed_match_grid_and_lbfgsb(self, R):
