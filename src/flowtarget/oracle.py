@@ -20,7 +20,9 @@ relaxation) with HiGHS. It reports gap 0, which holds to HiGHS's tolerances
 minimizations, recovers a feasible primal by averaging, and reports the
 primal-dual gap as its certificate. Its deviation-price table
 (:func:`~flowtarget.solver.dev_price_table`) and every other price-free
-array are built once per solve, so each dual step only prices them. A
+array are built once per solve, so each dual step only prices them, and
+the bookkeeping that no step reads (dual values, the best multipliers, the
+primal values) runs over blocks of :data:`DUAL_BLOCK` steps. A
 brute-force enumerator over integral assignment sequences serves as the
 test oracle on tiny instances.
 """
@@ -41,6 +43,10 @@ DUAL_SUBGRADIENT = "dual-subgradient"
 BRUTE_FORCE = "brute-force"
 
 AVAILABILITY_TOL = 1e-9
+# Dual-backend steps whose bookkeeping runs as one batch. It bounds the
+# stored per-step arrays: batching a whole 1,000-step round raised the peak
+# memory of a continuous T = 600 benchmark run from 99 to 161 MB.
+DUAL_BLOCK = 32
 
 
 class UnsupportedFamilyError(ValueError):
@@ -200,48 +206,73 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     float sums (the inner value, the polish's gradient norm and the
     assignment cost) scatter the cell values into a zeroed full-shape buffer
     and sum that, so numpy groups the terms exactly as it does on the full
-    ``(n, W, m)`` problem and every output keeps its bits. When every cell
-    is available, the cell arrays already have that layout and are summed
-    as they are.
+    ``(n, W, m)`` problem. When every cell is available, the cell arrays
+    already have that layout and are summed as they are.
+
+    Each step runs only its serial core, what the next step reads: in the
+    ascent the prices, each cell's cheapest option, the inner minimizer and
+    the subgradient step; in the polish the subgradient, the projected step
+    and the new averages. The rest is bookkeeping that no step reads until a
+    round ends, and it runs over blocks of up to :data:`DUAL_BLOCK` stored
+    steps, in step order: the dual values, the strict-``>`` pick of the best
+    dual and its multipliers, the doubling-window sums of the inner choices
+    (integer counts, so exact in any order) and the polish's objective
+    values, scanned for the best value and the gap exit, with the steps
+    after an exit discarded. Each stacked value is the same elementwise
+    arithmetic as one step's, and each per-step total sums one contiguous
+    row, which numpy groups as it groups the one step's array, so every
+    output keeps its bits.
     """
     grid, dens = _dev_rows(instance, window)
     n_eff, m = costs.shape
     W = len(window)
     dens_col = dens[:, None]
-    mu = np.zeros((W, m))
     dead = ~((grid.d_plus > 0.0) | (grid.d_minus > 0.0))
-    best_dual = -np.inf
     jj, ww = np.nonzero(caps > 0)
     n_cells = len(jj)
     cell_idx = np.arange(n_cells)
     rows = jj * W + ww  # each cell's row in the full (n * W, ...) layout
+    whole = n_cells == n_eff * W  # the cell arrays already have the full layout
+    ww_m = ww * m
+    cell_m = cell_idx * m
     caps_c = caps[jj, ww].astype(float)
     caps_col = caps_c[:, None]
     cost_c = np.where(feas, costs, 0.0)[jj]
     cost_inf = np.where(feas, costs, np.inf)[jj]
     infeasible = ~feas[jj]
-    cell_bins = (ww[:, None] * m + np.arange(m)).ravel()
+    cell_bins = (ww_m[:, None] + np.arange(m)).ravel()
     table = dev_price_table(grid.is_squared, grid.target, grid.d_plus, grid.d_minus)
-    value_buf = np.zeros(n_eff * W)
-    full_buf = np.zeros((n_eff * W, m))
+    value_buf = np.zeros((DUAL_BLOCK, n_eff * W))
+    full_buf = np.zeros((DUAL_BLOCK, n_eff * W, m))
 
-    def full_sum(cell_values, buf):
-        if n_cells == len(buf):
-            return cell_values.sum()
-        buf[rows] = cell_values
-        return buf.sum()
+    def full_sums(cell_values, buf):
+        """Per-step totals of stacked ``(steps, cells, ...)`` values."""
+        steps = len(cell_values)
+        if not whole:
+            buf = buf[:steps]
+            buf[:, rows] = cell_values
+            cell_values = buf
+        return cell_values.reshape(steps, -1).sum(axis=1)
+
+    def row_sums(values):
+        return values.reshape(len(values), -1).sum(axis=1)
 
     def averages(counts):
         per_epoch = np.bincount(cell_bins, weights=counts.ravel(), minlength=W * m)
         return (prior + per_epoch.reshape(W, m).cumsum(axis=0)) / dens_col
 
-    def counts_value(counts, avg):
-        return float(full_sum(counts * cost_c, full_buf) + (dens_col * grid.evaluate(avg)).sum())
+    def counts_values(counts, avgs):
+        """Objective of stacked counts and their averages."""
+        return full_sums(counts * cost_c, full_buf) + row_sums(dens_col * grid.evaluate(avgs))
 
+    def counts_value(counts):
+        return float(counts_values(counts[None], averages(counts)[None])[0])
+
+    best_dual = -np.inf
+    best_mu = np.zeros((W, m))
+    best_avg = None  # (value, counts)
     avg_counts = np.zeros((n_cells, m))
     avg_n = 0
-    best_avg = None  # (value, counts)
-    best_mu = mu.copy()
 
     dual_rounds = 5
     per_round = max(iterations // dual_rounds, 1)
@@ -252,49 +283,61 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         if stalled or s_total >= iterations:
             break
         mu = best_mu.copy()
-        for s in range(1, per_round + 1):
-            s_total += 1
-            priced = mu[::-1].cumsum(axis=0)[::-1]  # price for epoch w sums rows >= w
-            # inner minimization: each cell's availability goes to its
-            # cheapest price-adjusted option, or is rejected
-            adj = cost_inf - priced[ww]
-            best_i = adj.argmin(axis=1)
-            best_v = adj[cell_idx, best_i]
-            assign = best_v <= 0.0
-            x_val = float(full_sum(caps_c * np.where(assign, best_v, 0.0), value_buf))
-            a_star = min_dev_plus_price(table, mu)
-            dual = x_val + float((dens_col * (grid.evaluate(a_star) + mu * a_star)).sum()) \
-                - float((mu * prior).sum())
-            if dual > best_dual:
-                best_dual = dual
-                best_mu = mu.copy()
+        s = 0
+        while s < per_round and not stalled:
+            block = []
+            for s in range(s + 1, min(s + DUAL_BLOCK, per_round) + 1):
+                priced = mu[::-1].cumsum(axis=0)[::-1]  # price for epoch w sums rows >= w
+                # inner minimization: each cell's availability goes to its
+                # cheapest price-adjusted option, or is rejected
+                adj = cost_inf - priced[ww]
+                best_i = adj.argmin(axis=1)
+                best_v = adj[cell_idx, best_i]
+                took = np.where(best_v <= 0.0, caps_c, 0.0)  # count assigned to best_i
+                per_cum = np.bincount(ww_m + best_i, weights=took,
+                                      minlength=W * m).reshape(W, m).cumsum(axis=0)
+                a_star = min_dev_plus_price(table, mu)
+                block.append((mu, a_star, best_i, best_v, took))
+                g = dens_col * a_star - prior - per_cum
+                g[dead] = 0.0
+                norm = float(np.sqrt((g * g).sum()))
+                if norm == 0.0:
+                    stalled = True
+                    break
+                mu = mu + (step_r / np.sqrt(s)) * (g / norm)
 
-            took = np.where(assign, caps_c, 0.0)  # count assigned to best_i
-            per_epoch = np.bincount(ww * m + best_i, weights=took, minlength=W * m)
-            per_cum = per_epoch.reshape(W, m).cumsum(axis=0)
-            avg_counts[cell_idx, best_i] += took
-            avg_n += 1
-            if s_total == iterations or s_total & (s_total - 1) == 0:  # doubling windows
-                cand = avg_counts / avg_n
-                val = counts_value(cand, averages(cand))
-                if best_avg is None or val < best_avg[0]:
-                    best_avg = (val, cand)
-                if s_total < iterations:
-                    avg_counts = np.zeros((n_cells, m))
-                    avg_n = 0
-
-            g = dens_col * a_star - prior - per_cum
-            g[dead] = 0.0
-            norm = float(np.sqrt((g * g).sum()))
-            if norm == 0.0:
+            mus, a_stars, best_is, best_vs, tooks = map(np.array, zip(*block))
+            duals = full_sums(caps_c * np.where(best_vs <= 0.0, best_vs, 0.0), value_buf) \
+                + row_sums(dens_col * (grid.evaluate(a_stars) + mus * a_stars)) \
+                - row_sums(mus * prior)
+            for k, dual in enumerate(duals.tolist()):
+                if dual > best_dual:
+                    best_dual, best_mu = dual, mus[k]
+            # doubling windows of the inner choices
+            lo = 0
+            for k in range(len(block)):
+                s_total += 1
+                window_end = s_total == iterations or s_total & (s_total - 1) == 0
+                if window_end or k == len(block) - 1:
+                    avg_counts += np.bincount((cell_m + best_is[lo:k + 1]).ravel(),
+                                              weights=tooks[lo:k + 1].ravel(),
+                                              minlength=n_cells * m).reshape(n_cells, m)
+                    avg_n += k + 1 - lo
+                    lo = k + 1
+                if window_end:
+                    cand = avg_counts / avg_n
+                    val = counts_value(cand)
+                    if best_avg is None or val < best_avg[0]:
+                        best_avg = (val, cand)
+                    if s_total < iterations:
+                        avg_counts = np.zeros((n_cells, m))
+                        avg_n = 0
+            if stalled:
                 counts = np.zeros((n_cells, m))
                 counts[cell_idx, best_i] = took
-                val = counts_value(counts, averages(counts))
+                val = counts_value(counts)
                 if best_avg is None or val < best_avg[0]:
                     best_avg = (val, counts)
-                stalled = True
-                break
-            mu = mu + (step_r / np.sqrt(s)) * (g / norm)
         step_r *= 0.3
 
     # Primal polish: descend the true objective over per-cell shares.
@@ -309,25 +352,31 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
             break
         shares = best_shares.copy()
         avg = averages(caps_col * shares)
-        for it in range(1, per_round + 1):
-            tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]  # sum over w' >= w
-            grad = caps_col * (cost_c + tail[ww])
-            grad[infeasible] = 0.0
-            nrm = float(np.sqrt(full_sum(grad * grad, full_buf)))
-            if nrm == 0.0:
-                done = True
+        it = 0
+        while it < per_round and not done:
+            block = []
+            for it in range(it + 1, min(it + DUAL_BLOCK, per_round) + 1):
+                tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]  # sum over w' >= w
+                grad = caps_col * (cost_c + tail[ww])
+                grad[infeasible] = 0.0
+                nrm = float(np.sqrt(full_sums((grad * grad)[None], full_buf)[0]))
+                if nrm == 0.0:
+                    done = True
+                    break
+                shares = _project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
+                shares[infeasible] = 0.0
+                counts = caps_col * shares
+                avg = averages(counts)
+                block.append((shares, counts, avg))
+            if not block:
                 break
-            shares = _project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
-            shares[infeasible] = 0.0
-            counts = caps_col * shares
-            avg = averages(counts)
-            val = counts_value(counts, avg)
-            if val < best_primal:
-                best_primal = val
-                best_shares = shares.copy()
-            if best_primal - best_dual <= gap_abs + gap_rel * abs(best_primal):
-                done = True
-                break
+            kept, counts_b, avgs = zip(*block)
+            for k, val in enumerate(counts_values(np.array(counts_b), np.array(avgs)).tolist()):
+                if val < best_primal:
+                    best_primal, best_shares = val, kept[k]
+                if best_primal - best_dual <= gap_abs + gap_rel * abs(best_primal):
+                    done = True
+                    break
         step0 *= 0.3
 
     z = np.zeros((n_eff, m, instance.K))
@@ -376,9 +425,7 @@ def myopic_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
     ``omega_k`` holds only epoch ``epoch``'s arrivals (0-based epoch). Only
     that epoch's assignment and deviation costs are optimized.
     """
-    prior = np.asarray(prior, dtype=float)
-    if np.any(prior > epoch * instance.epoch_len + AVAILABILITY_TOL):
-        raise ValueError("prior consumption exceeds the periods elapsed")
+    prior = _check_prior(instance, prior, epoch)
     return _solve_window(instance, _as_epoch_slice(instance, omega_k), [epoch],
                          prior, False, backend, dual_iters, dual_step, gap_rel, gap_abs)
 
@@ -389,13 +436,24 @@ def proxy_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
                   gap_rel: float = 1e-7, gap_abs: float = 1e-9) -> OfflineSolution:
     """Benchmark over epochs ``epoch..K-1`` when every future epoch's arrivals
     are assumed identical to epoch ``epoch``'s (availability replicated)."""
-    prior = np.asarray(prior, dtype=float)
-    if np.any(prior > epoch * instance.epoch_len + AVAILABILITY_TOL):
-        raise ValueError("prior consumption exceeds the periods elapsed")
+    prior = _check_prior(instance, prior, epoch)
     window = list(range(epoch, instance.K))
     return _solve_window(instance, _as_epoch_slice(instance, omega_k),
                          window, prior, True, backend, dual_iters, dual_step,
                          gap_rel, gap_abs)
+
+
+def _check_prior(instance, prior, epoch):
+    """``prior`` as per-resource consumption before ``epoch``: shape ``(m,)``,
+    finite, nonnegative and at most the periods elapsed."""
+    prior = np.asarray(prior, dtype=float)
+    if prior.shape != (instance.m,):
+        raise ValueError(f"prior must have shape {(instance.m,)}, got {prior.shape}")
+    if not np.all(np.isfinite(prior)) or np.any(prior < 0.0):
+        raise ValueError("prior must be finite and nonnegative")
+    if np.any(prior > epoch * instance.epoch_len + AVAILABILITY_TOL):
+        raise ValueError("prior consumption exceeds the periods elapsed")
+    return prior
 
 
 def _as_epoch_slice(instance, omega_k):

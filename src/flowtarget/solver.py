@@ -96,6 +96,7 @@ class DevPriceTable(NamedTuple):
     pts: np.ndarray      # (3, ...) candidate points {0, clip(target), 1}
     dev_pts: np.ndarray  # (3, ...) piecewise-linear penalty at each point
     squared: Optional[tuple]  # (mask, target, d+ > 0, 2 d+ or 1); None without squared cells
+    only_squared: bool  # every cell squared with d+ > 0: the closed form is the answer
 
 
 def dev_price_table(is_squared: np.ndarray, target: np.ndarray,
@@ -106,10 +107,12 @@ def dev_price_table(is_squared: np.ndarray, target: np.ndarray,
     gap = pts - target
     dev_pts = d_plus * np.maximum(gap, 0.0) + d_minus * np.maximum(-gap, 0.0)
     squared = None
+    only_squared = False
     if np.any(is_squared):
         pos = d_plus > 0
         squared = (is_squared, target, pos, np.where(pos, 2.0 * d_plus, 1.0))
-    return DevPriceTable(pts, dev_pts, squared)
+        only_squared = bool(np.all(is_squared & pos))
+    return DevPriceTable(pts, dev_pts, squared, only_squared)
 
 
 def min_dev_plus_price(table: DevPriceTable, price: np.ndarray) -> np.ndarray:
@@ -117,8 +120,13 @@ def min_dev_plus_price(table: DevPriceTable, price: np.ndarray) -> np.ndarray:
 
     Piecewise-linear families are minimized at one of {0, clip(target), 1};
     the squared family has the closed form ``clip(target - price / (2 d))``.
-    Ties go to the smallest candidate, so a flat objective returns 0.
+    Ties go to the smallest candidate, so a flat objective returns 0. A grid
+    whose cells are all squared with ``d > 0`` skips the candidate argmin,
+    whose answer the closed form would replace everywhere.
     """
+    if table.only_squared:
+        _, target, _, den = table.squared
+        return np.clip(target - price / den, 0.0, 1.0)
     a = np.argmin(table.dev_pts + price * table.pts, axis=0).choose(table.pts)
     if table.squared is None:
         return a

@@ -220,3 +220,159 @@ def legacy_min_dev_plus_price(is_squared, target, d_plus, d_minus, price):
         sq = np.clip(target - price / (2.0 * d_plus), 0.0, 1.0)
     sq = np.where(d_plus > 0, sq, np.where(price < 0, 1.0, 0.0))
     return np.where(is_squared, sq, pl)
+
+
+def reference_project_cell_simplex(v):
+    """Frozen copy of the oracle's projection of each row onto
+    {s >= 0, sum(s) <= 1}, used by :func:`reference_dual_subgradient`."""
+    clipped = np.maximum(v, 0.0)
+    outside = clipped.sum(axis=-1) > 1.0
+    if not outside.any():
+        return clipped
+    rows = v[outside]
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    css = u.cumsum(axis=-1) - 1.0
+    ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
+    rho = np.maximum((u - css / ranks > 0).sum(axis=-1), 1)
+    theta = (css[np.arange(len(rows)), rho - 1] / rho)[:, None]
+    clipped[outside] = np.maximum(rows - theta, 0.0)
+    return clipped
+
+
+def reference_dual_subgradient(instance, costs, feas, caps, window, prior,
+                               iterations, step_scale, gap_rel, gap_abs,
+                               recover_iters=2400):
+    """Frozen copy of the dual-subgradient backend as it stood when every
+    ascent and polish step did all of its own bookkeeping (dual value,
+    best-multiplier pick, doubling-window sums, primal value), kept as a
+    bit-for-bit reference. Takes and returns what
+    ``oracle._solve_dual_subgradient`` does: ``(primal, dual, counts)``.
+    Its inner minimizer is :func:`legacy_min_dev_plus_price`."""
+    rows_w = np.asarray(window, dtype=int)
+    grid = instance.dev_grid.rows(rows_w)
+    dens = (rows_w + 1).astype(float) * instance.epoch_len
+    n_eff, m = costs.shape
+    W = len(window)
+    dens_col = dens[:, None]
+    mu = np.zeros((W, m))
+    dead = ~((grid.d_plus > 0.0) | (grid.d_minus > 0.0))
+    best_dual = -np.inf
+    jj, ww = np.nonzero(caps > 0)
+    n_cells = len(jj)
+    cell_idx = np.arange(n_cells)
+    rows = jj * W + ww
+    caps_c = caps[jj, ww].astype(float)
+    caps_col = caps_c[:, None]
+    cost_c = np.where(feas, costs, 0.0)[jj]
+    cost_inf = np.where(feas, costs, np.inf)[jj]
+    infeasible = ~feas[jj]
+    cell_bins = (ww[:, None] * m + np.arange(m)).ravel()
+    value_buf = np.zeros(n_eff * W)
+    full_buf = np.zeros((n_eff * W, m))
+
+    def full_sum(cell_values, buf):
+        if n_cells == len(buf):
+            return cell_values.sum()
+        buf[rows] = cell_values
+        return buf.sum()
+
+    def averages(counts):
+        per_epoch = np.bincount(cell_bins, weights=counts.ravel(), minlength=W * m)
+        return (prior + per_epoch.reshape(W, m).cumsum(axis=0)) / dens_col
+
+    def counts_value(counts, avg):
+        return float(full_sum(counts * cost_c, full_buf) + (dens_col * grid.evaluate(avg)).sum())
+
+    avg_counts = np.zeros((n_cells, m))
+    avg_n = 0
+    best_avg = None
+    best_mu = mu.copy()
+
+    dual_rounds = 5
+    per_round = max(iterations // dual_rounds, 1)
+    step_r = step_scale
+    s_total = 0
+    stalled = False
+    for _ in range(dual_rounds):
+        if stalled or s_total >= iterations:
+            break
+        mu = best_mu.copy()
+        for s in range(1, per_round + 1):
+            s_total += 1
+            priced = mu[::-1].cumsum(axis=0)[::-1]
+            adj = cost_inf - priced[ww]
+            best_i = adj.argmin(axis=1)
+            best_v = adj[cell_idx, best_i]
+            assign = best_v <= 0.0
+            x_val = float(full_sum(caps_c * np.where(assign, best_v, 0.0), value_buf))
+            a_star = legacy_min_dev_plus_price(grid.is_squared, grid.target, grid.d_plus,
+                                               grid.d_minus, mu)
+            dual = x_val + float((dens_col * (grid.evaluate(a_star) + mu * a_star)).sum()) \
+                - float((mu * prior).sum())
+            if dual > best_dual:
+                best_dual = dual
+                best_mu = mu.copy()
+
+            took = np.where(assign, caps_c, 0.0)
+            per_epoch = np.bincount(ww * m + best_i, weights=took, minlength=W * m)
+            per_cum = per_epoch.reshape(W, m).cumsum(axis=0)
+            avg_counts[cell_idx, best_i] += took
+            avg_n += 1
+            if s_total == iterations or s_total & (s_total - 1) == 0:
+                cand = avg_counts / avg_n
+                val = counts_value(cand, averages(cand))
+                if best_avg is None or val < best_avg[0]:
+                    best_avg = (val, cand)
+                if s_total < iterations:
+                    avg_counts = np.zeros((n_cells, m))
+                    avg_n = 0
+
+            g = dens_col * a_star - prior - per_cum
+            g[dead] = 0.0
+            norm = float(np.sqrt((g * g).sum()))
+            if norm == 0.0:
+                counts = np.zeros((n_cells, m))
+                counts[cell_idx, best_i] = took
+                val = counts_value(counts, averages(counts))
+                if best_avg is None or val < best_avg[0]:
+                    best_avg = (val, counts)
+                stalled = True
+                break
+            mu = mu + (step_r / np.sqrt(s)) * (g / norm)
+        step_r *= 0.3
+
+    best_primal, counts0 = best_avg
+    shares = counts0 / caps_col
+    best_shares = shares.copy()
+    rounds, step0 = 8, 0.5
+    per_round = max(recover_iters // rounds, 1)
+    done = best_primal - best_dual <= gap_abs + gap_rel * abs(best_primal)
+    for _ in range(rounds):
+        if done:
+            break
+        shares = best_shares.copy()
+        avg = averages(caps_col * shares)
+        for it in range(1, per_round + 1):
+            tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]
+            grad = caps_col * (cost_c + tail[ww])
+            grad[infeasible] = 0.0
+            nrm = float(np.sqrt(full_sum(grad * grad, full_buf)))
+            if nrm == 0.0:
+                done = True
+                break
+            shares = reference_project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
+            shares[infeasible] = 0.0
+            counts = caps_col * shares
+            avg = averages(counts)
+            val = counts_value(counts, avg)
+            if val < best_primal:
+                best_primal = val
+                best_shares = shares.copy()
+            if best_primal - best_dual <= gap_abs + gap_rel * abs(best_primal):
+                done = True
+                break
+        step0 *= 0.3
+
+    z = np.zeros((n_eff, m, instance.K))
+    z[jj, :, np.asarray(window)[ww]] = caps_col * best_shares
+    return float(best_primal), float(best_dual), z

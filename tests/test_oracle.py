@@ -37,6 +37,7 @@ from flowtarget.oracle import (
     validate_solution,
 )
 from flowtarget.policies import POLICIES
+from helpers import reference_dual_subgradient
 
 
 def constant_omega(T):
@@ -243,6 +244,75 @@ class TestBareTypeArrays:
         assert myopic_offline(inst, types.astype(float), np.zeros(inst.m), 0).objective == want
 
 
+class TestPriorValidation:
+    @pytest.mark.parametrize("solve", [myopic_offline, proxy_offline])
+    @pytest.mark.parametrize("bad, message", [
+        ([-50.0, 0.0, 0.0], "prior must be finite and nonnegative"),
+        ([np.nan, 0.0, 0.0], "prior must be finite and nonnegative"),
+        ([1.0], r"prior must have shape \(3,\), got \(1,\)"),
+    ])
+    def test_bad_prior_names_prior(self, solve, bad, message):
+        # -50 used to return an objective, a one-element prior to fail with an
+        # IndexError and a NaN one with linprog's b_ub message
+        inst = generate_synthetic(SyntheticParams(T=30, seed=7))
+        types = sample_arrivals(inst, 7).types[inst.epoch_len:2 * inst.epoch_len]
+        with pytest.raises(ValueError, match=message):
+            solve(inst, types, np.array(bad), 1)
+
+    @pytest.mark.parametrize("solve", [myopic_offline, proxy_offline])
+    def test_prior_beyond_elapsed_periods_is_rejected(self, solve):
+        inst = generate_synthetic(SyntheticParams(T=30, seed=7))
+        types = np.zeros(inst.epoch_len, dtype=int)
+        with pytest.raises(ValueError, match="exceeds the periods elapsed"):
+            solve(inst, types, np.full(inst.m, inst.epoch_len + 1.0), 1)
+
+
+def bisection_cell_projection(row, iters=200):
+    """Projection of one row onto {s >= 0, sum(s) <= 1}: the row clipped at 0
+    if that sums to at most 1, else ``max(row - theta, 0)`` with ``theta``
+    found by bisection so that the result sums to 1."""
+    clipped = np.maximum(row, 0.0)
+    if clipped.sum() <= 1.0:
+        return clipped
+    lo, hi = 0.0, float(row.max())
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(row - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(row - 0.5 * (lo + hi), 0.0)
+
+
+class TestProjectCellSimplex:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_per_row_bisection(self, m):
+        rng = np.random.default_rng(m)
+        random_rows = rng.uniform(-1.0, 2.0, size=(300, m))
+        # dyadic rows make exact ties and sums of exactly 1 common
+        dyadic_rows = rng.integers(-4, 9, size=(300, m)) / 4.0
+        inside = rng.dirichlet(np.ones(m + 1), size=50)[:, :m] * 0.9
+        boundary = np.full((1, m), 1.0 / m) if m in (1, 2, 4) else np.array([[0.5, 0.25, 0.25]])
+        positive = rng.uniform(0.1, 1.0, size=(50, m))
+        just_outside = positive / positive.sum(axis=1, keepdims=True) * (1.0 + 1e-6)
+        ties = np.full((1, m), 1.5)
+        v = np.vstack([random_rows, dyadic_rows, inside, just_outside, boundary, ties])
+        got = oracle_mod._project_cell_simplex(v.copy())
+        want = np.array([bisection_cell_projection(row) for row in v])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.all(got >= 0.0) and np.all(got.sum(axis=1) <= 1.0 + 1e-12)
+        # rows inside the set, on its boundary or with only negative excess are kept or clipped
+        kept = np.maximum(v, 0.0).sum(axis=1) <= 1.0
+        assert kept.sum() >= 50
+        np.testing.assert_array_equal(got[kept], np.maximum(v[kept], 0.0))
+        assert np.all(got[-1] == got[-1, 0])  # ties split evenly
+        np.testing.assert_allclose(got[-1], np.full(m, 1.0 / m), rtol=0.0, atol=1e-15)
+
+    def test_single_resource_rows(self):
+        v = np.array([[2.0], [-1.0], [0.3], [1.0]])
+        np.testing.assert_array_equal(oracle_mod._project_cell_simplex(v), [[1.0], [0.0], [0.3], [1.0]])
+
+
 class TestCumulativeProxyCost:
     def test_single_epoch_equals_total_cost(self):
         inst = random_instance(51, max_K=1, max_T=80)
@@ -432,3 +502,79 @@ class TestExactLPPinned:
         sol = pinned_lp_solve(kind)
         digest = hashlib.sha256(np.ascontiguousarray(sol.counts).tobytes()).hexdigest()
         assert (lp_hash.hexdigest(), sol.objective, digest) == self.PINNED[kind]
+
+
+REFERENCE_FAMILIES = {
+    "absolute": lambda rng, t: DeviationCost.absolute(float(rng.uniform(0.1, 2.0)), t),
+    "over-only": lambda rng, t: DeviationCost.under_over(float(rng.uniform(0.1, 2.0)), 0.0, t),
+    "under-only": lambda rng, t: DeviationCost.under_over(0.0, float(rng.uniform(0.1, 2.0)), t),
+    "zero": lambda rng, t: DeviationCost.zero(),
+    "squared": lambda rng, t: DeviationCost.squared(float(rng.uniform(0.1, 2.0)), t),
+}
+REFERENCE_GRIDS = {"absolute": ["absolute"], "squared": ["squared"], "zero": ["zero"],
+                   "mixed": sorted(REFERENCE_FAMILIES)}
+
+
+def reference_battery_case(seed):
+    """One random dual-backend problem and solver settings.
+
+    The grid is all absolute, all squared, all zero-family (the ascent stalls
+    at once) or mixed with one-sided cells. The problem is a typed hindsight
+    problem, a typed proxy or myopic window with a nonzero prior, a
+    never-available type and a type with no feasible resource, or a
+    continuous hindsight problem or window. The step counts and the gap
+    tolerance vary so that block ends, doubling windows, gap exits and
+    round ends fall at different steps.
+    """
+    rng = np.random.default_rng(seed)
+    grid_kind = sorted(REFERENCE_GRIDS)[seed % 4]
+    problem = ["hindsight", "proxy", "myopic", "continuous", "continuous-proxy"][(seed // 4) % 5]
+    continuous = problem.startswith("continuous")
+    m = int(rng.integers(1, 4))
+    K = int(rng.integers(2, 4))
+    step = int(rng.integers(1, 7))
+    targets = rng.uniform(0.0, 1.0, size=(K, m))
+    fams = REFERENCE_GRIDS[grid_kind]
+    dev = tuple(tuple(REFERENCE_FAMILIES[fams[int(rng.integers(len(fams)))]](rng, float(targets[k, i]))
+                      for i in range(m)) for k in range(K))
+    if continuous:
+        inst = Instance(costs=np.zeros((0, m)), feasible=np.zeros((0, m), dtype=bool), probs=None,
+                        epochs=K, horizon=K * step, targets=targets, dev_costs=dev, continuous=True)
+        model = GumbelCostModel(locations=rng.uniform(-1.0, 1.0, size=(1, m)), rate=4.0)
+        omega = sample_gumbel_arrivals(model, inst.T, seed=seed)
+    else:
+        n = int(rng.integers(2, 4))
+        feasible = rng.random((n, m)) < 0.8
+        feasible[n - 1] = False  # a type with no feasible resource
+        inst = Instance(costs=rng.uniform(-1.0, 1.0, size=(n, m)), feasible=feasible,
+                        probs=np.full(n, 1.0 / n), epochs=K, horizon=K * step, targets=targets,
+                        dev_costs=dev)
+        # type 0 never arrives in the windows
+        omega = ArrivalSequence(types=rng.integers(1 if problem != "hindsight" else 0, n, size=inst.T))
+    if problem in ("hindsight", "continuous"):
+        window, proxy_future, omega_w, prior = list(range(K)), False, omega, np.zeros(m)
+    else:
+        epoch = 1
+        prior = np.floor(rng.uniform(0.0, 1.0, size=m) * step)
+        window = [epoch] if problem == "myopic" else list(range(epoch, K))
+        proxy_future = problem != "myopic"
+        lo, hi = epoch * step, (epoch + 1) * step
+        omega_w = (ArrivalSequence(cost_vectors=omega.cost_vectors[lo:hi]) if continuous
+                   else omega.types[lo:hi])
+    costs, feas, caps = oracle_mod._window_problem(inst, omega_w, window, proxy_future)
+    settings = dict(iterations=int(rng.choice([1, 4, 37, 160, 700])), step_scale=2.0,
+                    gap_rel=float(rng.choice([1e-7, 1e-3])), gap_abs=1e-9,
+                    recover_iters=int(rng.choice([8, 100, 400])))
+    return (inst, costs, feas, caps, window, prior), settings
+
+
+class TestDualBackendReference:
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_frozen_reference_bit_for_bit(self, block):
+        for seed in range(30 * block, 30 * block + 30):
+            args, settings = reference_battery_case(seed)
+            got = oracle_mod._solve_dual_subgradient(*args, **settings)
+            ref = reference_dual_subgradient(*args, **settings)
+            digests = [hashlib.sha256(np.ascontiguousarray(r[2]).tobytes()).hexdigest()
+                       for r in (got, ref)]
+            assert (got[0], got[1], digests[0]) == (ref[0], ref[1], digests[1]), seed

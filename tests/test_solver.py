@@ -98,12 +98,14 @@ class TestMinDevPlusPrice:
                                 np.zeros((1, 2)), np.zeros((1, 2)))
         np.testing.assert_array_equal(min_dev_plus_price(table, np.zeros((1, 2))), 0.0)
 
-    @pytest.mark.parametrize("squared_share", [0.0, 0.3])
+    @pytest.mark.parametrize("squared_share", [0.0, 0.3, 1.0])
     def test_bit_identical_to_frozen_one_call_minimizer(self, squared_share):
         # Dyadic weights, targets and prices make exact ties between
         # candidate points common; targets reach outside [0, 1], a fifth of
         # the weights are zero (squared cells with d+ = 0 included), and
-        # every table is priced at zero, at +-d+ and +-d- and at random.
+        # every table is priced at zero, at +-d+ and +-d- and at random. With
+        # every cell squared, odd batches have no zero weight, so their
+        # tables take the closed form alone.
         rng = np.random.default_rng(int(squared_share * 10))
         dyadic = np.arange(-12, 13) / 4.0
         draws = 0
@@ -112,9 +114,11 @@ class TestMinDevPlusPrice:
             is_sq = rng.random(shape) < squared_share
             target = np.where(rng.random(shape) < 0.5, rng.choice(dyadic, shape) / 2.0,
                               rng.uniform(-0.5, 1.5, shape))
-            d_plus, d_minus = (np.where(rng.random(shape) < 0.2, 0.0, rng.choice(dyadic[13:], shape))
+            zero_share = 0.0 if squared_share == 1.0 and batch % 2 else 0.2
+            d_plus, d_minus = (np.where(rng.random(shape) < zero_share, 0.0, rng.choice(dyadic[13:], shape))
                                for _ in range(2))
             table = dev_price_table(is_sq, target, d_plus, d_minus)
+            assert table.only_squared == (squared_share == 1.0 and batch % 2 == 1)
             for price in (np.zeros(shape), d_plus, -d_plus, d_minus, -d_minus,
                           rng.choice(dyadic, shape), rng.uniform(-3.0, 3.0, shape)):
                 got = min_dev_plus_price(table, price)

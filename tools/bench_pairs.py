@@ -8,10 +8,18 @@
 ``perfbench/run.py --seed <seed + i>`` once in each checkout, the parent
 first in even pairs and the change first in odd ones, so that a drift of
 the machine's speed falls on both sides. Per end-to-end metric the output
-holds each side's median and quartiles and the number of pairs in which the
-change is better. ``--traced`` names workloads that also get one traced
-(``--trace 1``) run per side, whose per-layer metrics are recorded as they
-are.
+holds each side's median and quartiles, the number of pairs in which the
+change is better and two verdicts, which are also printed:
+
+* ``claim_met``: the change is better in at least 9 of 10 pairs, and its
+  median is better than the parent's by more than the parent's quartile
+  spread (the rule a claimed gain must meet);
+* ``within_bound``: the change's median is worse than the parent's by at
+  most the metric's ``bound`` in ``BENCHMARK.json``, as a share of the
+  parent's median (the no-regression rule).
+
+``--traced`` names workloads that also get one traced (``--trace 1``) run
+per side, whose per-layer metrics are recorded as they are.
 """
 
 import argparse
@@ -43,6 +51,16 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def verdicts(parent, change, wins, pairs, better, bound):
+    """The claim and no-regression verdicts of one metric (see the module
+    docstring); ``parent`` and ``change`` are :func:`summary` dicts."""
+    gain = parent["median"] - change["median"]
+    if better != "lower":
+        gain = -gain
+    return {"claim_met": 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= bound * abs(parent["median"])}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -62,6 +80,7 @@ def main(argv=None):
     if len(args.seed) != len(workloads):
         parser.error("give one first seed per workload")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     out = {"cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
            "python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
@@ -81,8 +100,15 @@ def main(argv=None):
             par = [r["metrics"][name] for r in runs["parent"]]
             chg = [r["metrics"][name] for r in runs["change"]]
             wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(par, chg))
-            metrics[name] = {"parent": summary(par), "change": summary(chg),
-                             "change_better_pairs": wins, "parent_runs": par, "change_runs": chg}
+            p_sum, c_sum = summary(par), summary(chg)
+            verdict = verdicts(p_sum, c_sum, wins, len(par), direction, bounds[name])
+            metrics[name] = {"parent": p_sum, "change": c_sum, "change_better_pairs": wins,
+                             **verdict, "parent_runs": par, "change_runs": chg}
+            print(f"{workload} {name}: {p_sum['median']:.4g} [{p_sum['q1']:.4g}, {p_sum['q3']:.4g}]"
+                  f" -> {c_sum['median']:.4g} [{c_sum['q1']:.4g}, {c_sum['q3']:.4g}],"
+                  f" better in {wins}/{len(par)} pairs;"
+                  f" claim rule {'met' if verdict['claim_met'] else 'not met'};"
+                  f" {'within' if verdict['within_bound'] else 'OUTSIDE'} the {bounds[name]:g} bound")
         entry = {"seeds": seeds, "metrics": metrics,
                  "failed_operations": {s: sum(r["failed"] for r in runs[s]) for s in sides},
                  "attempted_operations": {s: sum(r["attempted"] for r in runs[s]) for s in sides},
