@@ -213,6 +213,29 @@ class DevGrid:
         return np.where(self.is_squared, 2.0 * self.d_plus * gap, pl)
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """``values`` as int64; a ValueError naming ``name`` unless every entry is a finite integer."""
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(arr)) or np.any(arr != np.round(arr)):
+            raise ValueError(f"{name} must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_prior(instance: "Instance", prior, epoch: int, name: str = "prior") -> np.ndarray:
+    """``prior``, the consumption before ``epoch``, as a float ``(m,)`` array: finite, nonnegative
+    and at most the periods elapsed. Messages name the argument ``name``."""
+    prior = np.asarray(prior, dtype=float)
+    if prior.shape != (instance.m,):
+        raise ValueError(f"{name} must have shape {(instance.m,)}, got {prior.shape}")
+    if not np.all(np.isfinite(prior)) or np.any(prior < 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if np.any(prior > epoch * instance.epoch_len + 1e-9):
+        raise ValueError("prior consumption exceeds the periods elapsed")
+    return prior
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -331,10 +354,15 @@ class Instance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
-        m, n = int(d["m"]), int(d["n"])
+        m, n, sets = int(d["m"]), int(d["n"]), d["feasible_sets"]
+        if len(sets) != n:
+            raise ValueError(f"feasible_sets must have one row per type ({n}), got {len(sets)}")
         feas = np.zeros((n, m), dtype=bool)
-        for j, idxs in enumerate(d["feasible_sets"]):
-            feas[j, np.asarray(idxs, dtype=int)] = True
+        for j, idxs in enumerate(sets):
+            idx = integer_array(idxs, f"feasible_sets[{j}]")
+            if np.any(idx < 0) or np.any(idx >= m):
+                raise ValueError(f"feasible_sets[{j}] entries must lie in [0, {m}), got {idx.tolist()}")
+            feas[j, idx] = True
         dev = tuple(tuple(DeviationCost.from_dict(g) for g in row) for row in d["dev_costs"])
         targets = np.asarray(d["targets"], dtype=float)
         extended = bool(np.any(targets < 0.0) or np.any(targets > 1.0))
@@ -401,7 +429,7 @@ class ArrivalSequence:
         if (self.types is None) == (self.cost_vectors is None):
             raise ValueError("exactly one of types / cost_vectors must be given")
         if self.types is not None:
-            object.__setattr__(self, "types", _readonly(np.asarray(self.types, dtype=np.int64)))
+            object.__setattr__(self, "types", _readonly(integer_array(self.types, "types")))
         else:
             object.__setattr__(self, "cost_vectors", _readonly(np.atleast_2d(np.asarray(self.cost_vectors, dtype=float))))
 
@@ -446,7 +474,7 @@ class ArrivalSequence:
     @classmethod
     def from_dict(cls, d: dict) -> "ArrivalSequence":
         if d["mode"] == "discrete":
-            return cls(types=np.asarray(d["types"], dtype=np.int64), seed_info=d.get("seed_info", ""))
+            return cls(types=d["types"], seed_info=d.get("seed_info", ""))
         return cls(cost_vectors=np.asarray(d["cost_vectors"], dtype=float), seed_info=d.get("seed_info", ""))
 
     def save(self, path: str) -> None:

@@ -43,7 +43,6 @@ class ExperimentConfig:
     gap_tol: float = 1e-6
     instance_file: Optional[str] = None
     params: SyntheticParams = field(default_factory=SyntheticParams)
-    fresh_instance_per_rep: bool = True
     workers: int = 0  # 0 = one per CPU (capped at 8)
 
     def __post_init__(self) -> None:
@@ -135,8 +134,7 @@ def _run_replication(args) -> list[MetricsRow]:
             raise ValueError("instance file horizon does not match the requested T")
     else:
         params = replace(config.params, T=T, delta=delta, gamma=gamma, seed=seed)
-        stream = rep if config.fresh_instance_per_rep else 0
-        instance = generate_synthetic(params, stream_index=stream)
+        instance = generate_synthetic(params, stream_index=rep)
     omega = sample_arrivals(instance, seed, stream_index=rep)
     sol = hindsight_optimum(instance, omega, backend=config.oracle_backend)
     flagged_gap = sol.gap > config.gap_tol

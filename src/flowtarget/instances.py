@@ -32,6 +32,7 @@ from .core import (
     validate_decisions,
 )
 from .rng import rng_stream
+from .solver import project_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,8 @@ class AggregateObservation:
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.counts, dtype=np.int64))
         a = np.asarray(self.arrivals, dtype=np.int64)
+        if np.any(c < 0):
+            raise ValueError("counts (ideal quantities) must be nonnegative")
         if a.shape != (c.shape[0],) or np.any(c.sum(axis=1) > a):
             raise ValueError("interval totals must cover the per-resource counts")
         object.__setattr__(self, "counts", c)
@@ -318,18 +321,6 @@ class MleResult:
     restart_lls: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _project_simplex(p: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of ``p`` onto the probability simplex."""
-    u = np.sort(p, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, p.shape[-1] + 1)
-    holds = u - css / idx > 0
-    # rho: one past the largest index where the condition holds
-    rho = p.shape[-1] - np.argmax(holds[..., ::-1], axis=-1)[..., None]
-    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
-    return np.maximum(p - theta, 0.0)
-
-
 def mle_gradient(probs: np.ndarray, locations: np.ndarray, rate: float,
                  mean_counts: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Per-interval negative log-likelihood (up to the factorial constant)
@@ -398,7 +389,7 @@ def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
         _, gp, gc = mle_gradient(p, c, rate, mean_counts)
         c = np.clip(c - step * gc, lo, hi)
         if n_types > 1:
-            p = _project_simplex(p - step * gp)
+            p = project_simplex(p - step * gp)
     nll, _, _ = mle_gradient(p, c, rate, mean_counts)
     finite = np.flatnonzero(nll < np.inf)
     if len(finite) == 0:

@@ -35,8 +35,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import REJECT, ArrivalSequence, Instance
-from .solver import dev_price_table, min_dev_plus_price
+from .core import REJECT, ArrivalSequence, Instance, check_prior, integer_array
+from .solver import dev_price_table, min_dev_plus_price, project_simplex
 
 EXACT_LP = "exact-lp"
 DUAL_SUBGRADIENT = "dual-subgradient"
@@ -47,6 +47,8 @@ AVAILABILITY_TOL = 1e-9
 # stored per-step arrays: batching a whole 1,000-step round raised the peak
 # memory of a continuous T = 600 benchmark run from 99 to 161 MB.
 DUAL_BLOCK = 32
+# The dual backend's base ascent step and gap exit, gap <= GAP_ABS + GAP_REL |primal|.
+DUAL_STEP, GAP_REL, GAP_ABS = 2.0, 1e-7, 1e-9
 
 
 class UnsupportedFamilyError(ValueError):
@@ -170,18 +172,13 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
 
 
 def _project_cell_simplex(v: np.ndarray) -> np.ndarray:
-    """Project each row of ``v`` onto {s >= 0, sum(s) <= 1} (reject as slack)."""
+    """Project each row of ``v`` onto {s >= 0, sum(s) <= 1} (reject as slack):
+    rows whose clipped sum is at most 1 are clipped at 0, the others go to
+    :func:`~flowtarget.solver.project_simplex`."""
     clipped = np.maximum(v, 0.0)
     outside = clipped.sum(axis=-1) > 1.0
-    if not outside.any():
-        return clipped
-    rows = v[outside]
-    u = np.sort(rows, axis=-1)[:, ::-1]
-    css = u.cumsum(axis=-1) - 1.0
-    ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
-    rho = np.maximum((u - css / ranks > 0).sum(axis=-1), 1)
-    theta = (css[np.arange(len(rows)), rho - 1] / rho)[:, None]
-    clipped[outside] = np.maximum(rows - theta, 0.0)
+    if outside.any():
+        clipped[outside] = project_simplex(v[outside])
     return clipped
 
 
@@ -384,76 +381,59 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     return float(best_primal), float(best_dual), z
 
 
-def _solve_window(instance, omega, window, prior, proxy_future, backend,
-                  dual_iters, dual_step, gap_rel, gap_abs):
+def _solve_window(instance, omega, window, prior, proxy_future, backend, dual_iters):
     costs, feas, caps = _window_problem(instance, omega, window, proxy_future)
-    prior = np.asarray(prior, dtype=float)
     if backend == EXACT_LP:
         obj, z = _solve_exact_lp(instance, costs, feas, caps, window, prior)
         return OfflineSolution(z, obj, EXACT_LP, 0.0, obj, window_start=window[0])
     if backend == DUAL_SUBGRADIENT:
         primal, dual, z = _solve_dual_subgradient(
             instance, costs, feas, caps, window, prior,
-            dual_iters, dual_step, gap_rel, gap_abs)
+            dual_iters, DUAL_STEP, GAP_REL, GAP_ABS)
         return OfflineSolution(z, primal, DUAL_SUBGRADIENT, primal - dual, dual,
                                window_start=window[0])
     raise ValueError(f"unknown oracle backend {backend!r}")
 
 
 def hindsight_optimum(instance: Instance, omega: ArrivalSequence,
-                      backend: str = EXACT_LP, dual_iters: int = 5000,
-                      dual_step: float = 2.0, gap_rel: float = 1e-7,
-                      gap_abs: float = 1e-9) -> OfflineSolution:
+                      backend: str = EXACT_LP, dual_iters: int = 5000) -> OfflineSolution:
     """Benchmark with the full arrival sequence known upfront.
 
     Minimizes total assignment plus scaled deviation cost over fractional
     per-epoch assignment counts, subject to each type's realized arrivals per
     epoch. The fractional relaxation lower-bounds every feasible policy.
+    ``dual_iters`` caps the dual backend's ascent steps, as in the two
+    windowed benchmarks; its base step and gap exit are the constants
+    ``DUAL_STEP``, ``GAP_REL`` and ``GAP_ABS``.
     """
     omega.validate_for(instance)
     window = list(range(instance.K))
     return _solve_window(instance, omega, window, np.zeros(instance.m), False,
-                         backend, dual_iters, dual_step, gap_rel, gap_abs)
+                         backend, dual_iters)
 
 
 def myopic_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
                    prior: np.ndarray, epoch: int, backend: str = EXACT_LP,
-                   dual_iters: int = 5000, dual_step: float = 2.0,
-                   gap_rel: float = 1e-7, gap_abs: float = 1e-9) -> OfflineSolution:
+                   dual_iters: int = 5000) -> OfflineSolution:
     """Single-epoch benchmark conditioned on prior consumption ``prior``.
 
     ``omega_k`` holds only epoch ``epoch``'s arrivals (0-based epoch). Only
     that epoch's assignment and deviation costs are optimized.
     """
-    prior = _check_prior(instance, prior, epoch)
+    prior = check_prior(instance, prior, epoch)
     return _solve_window(instance, _as_epoch_slice(instance, omega_k), [epoch],
-                         prior, False, backend, dual_iters, dual_step, gap_rel, gap_abs)
+                         prior, False, backend, dual_iters)
 
 
 def proxy_offline(instance: Instance, omega_k: ArrivalSequence | np.ndarray,
                   prior: np.ndarray, epoch: int, backend: str = EXACT_LP,
-                  dual_iters: int = 5000, dual_step: float = 2.0,
-                  gap_rel: float = 1e-7, gap_abs: float = 1e-9) -> OfflineSolution:
+                  dual_iters: int = 5000) -> OfflineSolution:
     """Benchmark over epochs ``epoch..K-1`` when every future epoch's arrivals
     are assumed identical to epoch ``epoch``'s (availability replicated)."""
-    prior = _check_prior(instance, prior, epoch)
+    prior = check_prior(instance, prior, epoch)
     window = list(range(epoch, instance.K))
     return _solve_window(instance, _as_epoch_slice(instance, omega_k),
-                         window, prior, True, backend, dual_iters, dual_step,
-                         gap_rel, gap_abs)
-
-
-def _check_prior(instance, prior, epoch):
-    """``prior`` as per-resource consumption before ``epoch``: shape ``(m,)``,
-    finite, nonnegative and at most the periods elapsed."""
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (instance.m,):
-        raise ValueError(f"prior must have shape {(instance.m,)}, got {prior.shape}")
-    if not np.all(np.isfinite(prior)) or np.any(prior < 0.0):
-        raise ValueError("prior must be finite and nonnegative")
-    if np.any(prior > epoch * instance.epoch_len + AVAILABILITY_TOL):
-        raise ValueError("prior consumption exceeds the periods elapsed")
-    return prior
+                         window, prior, True, backend, dual_iters)
 
 
 def _as_epoch_slice(instance, omega_k):
@@ -463,10 +443,7 @@ def _as_epoch_slice(instance, omega_k):
         raise ValueError("omega_k must hold exactly one epoch of arrivals")
     if isinstance(omega_k, ArrivalSequence):
         return omega_k
-    num = np.asarray(omega_k, dtype=float)
-    if not np.all(np.isfinite(num)) or np.any(num != np.round(num)):
-        raise ValueError("omega_k types must be integers")
-    arr = num.astype(np.int64)
+    arr = integer_array(omega_k, "omega_k types")
     if np.any(arr < 0) or np.any(arr >= instance.n):
         raise ValueError(f"omega_k types must lie in [0, {instance.n}), "
                          f"got {arr.min()} to {arr.max()}")
@@ -549,34 +526,47 @@ def validate_solution(instance: Instance, omega: ArrivalSequence,
             raise AssertionError("assignment outside the feasible set")
 
 
+def _proxy_pass(instance: Instance, result) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over a proxy run's decisions: the (T, K) cost of every proxy
+    decision (0 on a reject or a past epoch), the (K, K, m) counts per
+    (decision epoch, target epoch, resource) and the (K, m) consumption
+    realized before each epoch."""
+    if result.proxy_decisions is None:
+        raise ValueError("run result does not record proxy decisions")
+    K, m = instance.K, instance.m
+    dec = np.asarray(result.proxy_decisions, dtype=np.int64)
+    epoch = np.arange(len(dec)) // instance.epoch_len
+    tt, kk = np.nonzero(dec >= 0)  # rejects are -1, past epochs -2
+    cost = np.zeros(dec.shape)
+    cost[tt, kk] = result.arrivals.per_period(instance)[0][tt, dec[tt, kk]]
+    counts = np.bincount((epoch[tt] * K + kk) * m + dec[tt, kk], minlength=K * K * m).reshape(K, K, m)
+    return cost, counts.astype(float), np.vstack([np.zeros(m), result.epoch_consumption[:-1]])
+
+
+def _left_sum(values: np.ndarray) -> float:
+    """The entries of ``values`` added left to right from 0.0, as a scalar walk adds them."""
+    return float(np.add.accumulate(np.append(0.0, values))[-1])
+
+
+def _proxy_deviation(instance: Instance, z: np.ndarray, counts: np.ndarray, first: int) -> float:
+    """Deviation penalties of epochs ``first..K-1`` when the per-epoch proxy
+    ``counts`` are implemented on top of the consumption ``z``."""
+    dens = (np.arange(first + 1, instance.K + 1) * instance.epoch_len).astype(float)
+    avg = (z + np.cumsum(counts, axis=0)) / dens[:, None]
+    return float((dens[:, None] * instance.dev_grid.rows(slice(first, None)).evaluate(avg)).sum())
+
+
 def cumulative_proxy_cost(instance: Instance, result, epoch: int) -> float:
     """Proxy cost booked in epoch ``epoch``: assignment cost of every proxy
     decision made during the epoch (for the current and all future epochs),
     plus the deviation penalties of epochs ``>= epoch`` evaluated as if the
     cumulative proxy consumption were implemented on top of the consumption
     already realized when the epoch began."""
-    if result.proxy_decisions is None:
-        raise ValueError("run result does not record proxy decisions")
-    T, K, m = instance.T, instance.K, instance.m
-    step = instance.epoch_len
-    lo, hi = epoch * step, (epoch + 1) * step
-    arr = result.arrivals
-    assignment = 0.0
-    counts = np.zeros((K, m))
-    for t in range(lo, hi):
-        for k2 in range(epoch, K):
-            i = int(result.proxy_decisions[t, k2])
-            if i == REJECT:
-                continue
-            c = instance.costs[int(arr.types[t]), i] if not instance.continuous \
-                else arr.cost_vectors[t, i]
-            assignment += float(c)
-            counts[k2, i] += 1.0
-    z = result.epoch_consumption[epoch - 1].astype(float) if epoch > 0 else np.zeros(m)
-    cum = np.cumsum(counts[epoch:], axis=0)
-    dens = (np.arange(epoch + 1, K + 1) * step).astype(float)
-    dev = instance.dev_grid.rows(slice(epoch, None)).evaluate((z[None, :] + cum) / dens[:, None])
-    return assignment + float((dens[:, None] * dev).sum())
+    if not 0 <= epoch < instance.K:
+        raise ValueError(f"epoch must lie in [0, {instance.K}), got {epoch}")
+    cost, counts, z = _proxy_pass(instance, result)
+    booked = cost.reshape(instance.K, -1, instance.K)[epoch]
+    return _left_sum(booked) + _proxy_deviation(instance, z[epoch], counts[epoch, epoch:], epoch)
 
 
 def proxy_cost_decomposition(instance: Instance, result) -> dict:
@@ -585,34 +575,15 @@ def proxy_cost_decomposition(instance: Instance, result) -> dict:
     Realized cost equals the summed per-epoch proxy costs minus the
     assignment costs of never-implemented proxy decisions minus the
     deviation costs those unimplemented decisions would have caused. Returns
-    the three terms and their combination.
+    the three terms and their combination, from one pass over the decisions.
     """
-    if result.proxy_decisions is None:
-        raise ValueError("run result does not record proxy decisions")
-    T, K, m = instance.T, instance.K, instance.m
-    step = instance.epoch_len
-    arr = result.arrivals
-    grid = instance.dev_grid
-    proxy_total = sum(cumulative_proxy_cost(instance, result, k) for k in range(K))
-    unimpl_assign = 0.0
-    unimpl_dev = 0.0
-    for k in range(K):
-        counts = np.zeros((K, m))
-        for t in range(k * step, (k + 1) * step):
-            for k2 in range(k + 1, K):
-                i = int(result.proxy_decisions[t, k2])
-                if i == REJECT:
-                    continue
-                c = instance.costs[int(arr.types[t]), i] if not instance.continuous \
-                    else arr.cost_vectors[t, i]
-                unimpl_assign += float(c)
-                counts[k2, i] += 1.0
-        if k + 1 < K:
-            z = result.epoch_consumption[k].astype(float)
-            cum = np.cumsum(counts[k + 1:], axis=0)
-            dens = (np.arange(k + 2, K + 1) * step).astype(float)
-            dev = grid.rows(slice(k + 1, None)).evaluate((z[None, :] + cum) / dens[:, None])
-            unimpl_dev += float((dens[:, None] * dev).sum())
+    cost, counts, z = _proxy_pass(instance, result)
+    K = instance.K
+    proxy_total = sum(_left_sum(rows) + _proxy_deviation(instance, z[k], counts[k, k:], k)
+                      for k, rows in enumerate(cost.reshape(K, -1, K)))
+    future = np.arange(K) > (np.arange(len(cost)) // instance.epoch_len)[:, None]
+    unimpl_assign = _left_sum(np.where(future, cost, 0.0))
+    unimpl_dev = _left_sum([_proxy_deviation(instance, z[k], counts[k - 1, k:], k) for k in range(1, K)])
     return {
         "proxy_total": proxy_total,
         "unimplemented_assignment": unimpl_assign,

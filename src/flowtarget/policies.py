@@ -41,6 +41,7 @@ from .core import (
     REJECT,
     ArrivalSequence,
     Instance,
+    check_prior,
     deviation_cost_from_snapshots,
     replay_decisions,
 )
@@ -164,14 +165,7 @@ def idealized_consumption(
         raise ValueError(f"expected duals of shape {(R, m)}")
     if not np.all(np.isfinite(duals)):
         raise ValueError("duals must be finite")
-    prior = np.asarray(prior_consumption, dtype=float)
-    if prior.shape != (m,):
-        raise ValueError(f"prior_consumption must have shape {(m,)}, got {prior.shape}")
-    if not np.all(np.isfinite(prior)) or np.any(prior < 0.0):
-        raise ValueError("prior_consumption must be finite and nonnegative")
-    limit = epoch * instance.epoch_len
-    if np.any(prior > limit + 1e-9):
-        raise ValueError("prior consumption exceeds the periods elapsed")
+    prior = check_prior(instance, prior_consumption, epoch, "prior_consumption")
     return _chain_solve(_chain_table(instance, epoch, prior), duals)
 
 

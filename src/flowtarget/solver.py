@@ -1,6 +1,6 @@
 """Small convex minimizers shared by the online policies and the offline oracles.
 
-Three tools live here:
+Four tools live here:
 
 * :func:`solve_box_convex` -- generic projected subgradient descent over a
   box, with diminishing steps, warm starts, and best-iterate tracking (no
@@ -16,6 +16,9 @@ Three tools live here:
   idealized-consumption objective for every deviation family, via a tiny
   dynamic program over prefix variables whose value-to-go functions are
   convex piecewise quadratic.
+* :func:`project_simplex` -- the sort-and-threshold Euclidean projection
+  onto the probability simplex (Duchi et al., ICML 2008), shared by the
+  Gumbel MLE's type mix and the dual backend's per-cell shares.
 """
 
 from __future__ import annotations
@@ -238,3 +241,17 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
         a.append(s - s_prev)
         s_prev = s
     return np.array(a)
+
+
+def project_simplex(p: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a vector, or of each row of a matrix, onto the
+    probability simplex. ``rho`` counts the decreasingly sorted entries ``u_r``
+    above ``(u_1 + ... + u_r - 1) / r``, at least one. The last rank that
+    passes differs only where rounding breaks the test's prefix order (entries
+    beyond about 1e16), and there it can land far off: ``[1e20, 1]`` -> ``[5e19, 0]``."""
+    rows = np.atleast_2d(p)
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    css = u.cumsum(axis=-1) - 1.0
+    rho = np.maximum((u - css / np.arange(1, rows.shape[-1] + 1) > 0).sum(axis=-1), 1)
+    theta = css[np.arange(len(rows)), rho - 1] / rho
+    return np.maximum(p - theta.reshape(p.shape[:-1] + (1,)), 0.0)

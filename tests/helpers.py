@@ -4,7 +4,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from flowtarget.core import DeviationCost
+from flowtarget.core import REJECT, DeviationCost
 
 
 def grid_minimize(f_batch, d, levels=6, pts=21, lo=0.0, hi=1.0):
@@ -376,3 +376,64 @@ def reference_dual_subgradient(instance, costs, feas, caps, window, prior,
     z = np.zeros((n_eff, m, instance.K))
     z[jj, :, np.asarray(window)[ww]] = caps_col * best_shares
     return float(best_primal), float(best_dual), z
+
+
+def _reference_cumulative_proxy_cost(instance, result, epoch):
+    T, K, m = instance.T, instance.K, instance.m
+    step = instance.epoch_len
+    lo, hi = epoch * step, (epoch + 1) * step
+    arr = result.arrivals
+    assignment = 0.0
+    counts = np.zeros((K, m))
+    for t in range(lo, hi):
+        for k2 in range(epoch, K):
+            i = int(result.proxy_decisions[t, k2])
+            if i == REJECT:
+                continue
+            c = instance.costs[int(arr.types[t]), i] if not instance.continuous \
+                else arr.cost_vectors[t, i]
+            assignment += float(c)
+            counts[k2, i] += 1.0
+    z = result.epoch_consumption[epoch - 1].astype(float) if epoch > 0 else np.zeros(m)
+    cum = np.cumsum(counts[epoch:], axis=0)
+    dens = (np.arange(epoch + 1, K + 1) * step).astype(float)
+    dev = instance.dev_grid.rows(slice(epoch, None)).evaluate((z[None, :] + cum) / dens[:, None])
+    return assignment + float((dens[:, None] * dev).sum())
+
+
+def reference_proxy_costs(instance, result):
+    """Frozen copy of the scalar walks over a proxy run's decisions that
+    ``cumulative_proxy_cost`` and ``proxy_cost_decomposition`` made before
+    they shared one vectorized pass. Returns the per-epoch proxy costs and
+    the decomposition's dict."""
+    T, K, m = instance.T, instance.K, instance.m
+    step = instance.epoch_len
+    arr = result.arrivals
+    grid = instance.dev_grid
+    per_epoch = [_reference_cumulative_proxy_cost(instance, result, k) for k in range(K)]
+    proxy_total = sum(_reference_cumulative_proxy_cost(instance, result, k) for k in range(K))
+    unimpl_assign = 0.0
+    unimpl_dev = 0.0
+    for k in range(K):
+        counts = np.zeros((K, m))
+        for t in range(k * step, (k + 1) * step):
+            for k2 in range(k + 1, K):
+                i = int(result.proxy_decisions[t, k2])
+                if i == REJECT:
+                    continue
+                c = instance.costs[int(arr.types[t]), i] if not instance.continuous \
+                    else arr.cost_vectors[t, i]
+                unimpl_assign += float(c)
+                counts[k2, i] += 1.0
+        if k + 1 < K:
+            z = result.epoch_consumption[k].astype(float)
+            cum = np.cumsum(counts[k + 1:], axis=0)
+            dens = (np.arange(k + 2, K + 1) * step).astype(float)
+            dev = grid.rows(slice(k + 1, None)).evaluate((z[None, :] + cum) / dens[:, None])
+            unimpl_dev += float((dens[:, None] * dev).sum())
+    return per_epoch, {
+        "proxy_total": proxy_total,
+        "unimplemented_assignment": unimpl_assign,
+        "unimplemented_deviation": unimpl_dev,
+        "reconstructed": proxy_total - unimpl_assign - unimpl_dev,
+    }

@@ -306,6 +306,41 @@ class TestInstanceValidation:
         inst = idle_then_full_instance(2.0, 10)
         assert inst.c_max == 1.0
 
+    @pytest.mark.parametrize("sets, message", [
+        ([[0, -1], [1]], r"feasible_sets\[0\] entries must lie in \[0, 2\), got \[0, -1\]"),
+        ([[0], [2]], r"feasible_sets\[1\] entries must lie in \[0, 2\), got \[2\]"),
+        ([[0], [0.5]], r"feasible_sets\[1\] must be integers"),
+        ([[0, 1]], r"feasible_sets must have one row per type \(2\), got 1"),
+        ([[0], [1], [0]], r"feasible_sets must have one row per type \(2\), got 3"),
+    ])
+    def test_bad_feasible_sets_fail_in_from_dict(self, sets, message):
+        # -1 used to mark resource m - 1 feasible, and m to raise an IndexError
+        d = Instance(costs=[[-0.5, 0.2], [0.1, -0.3]], feasible=[[True, False], [False, True]],
+                     probs=np.array([0.5, 0.5]), epochs=1, horizon=4, targets=np.array([[0.5, 0.5]]),
+                     dev_costs=uniform_dev_costs(np.array([[0.5, 0.5]]), "absolute", 1.0)).to_dict()
+        assert d["feasible_sets"] == [[0], [1]]
+        with pytest.raises(ValueError, match=message):
+            Instance.from_dict({**d, "feasible_sets": sets})
+
+
+class TestArrivalTypes:
+    @pytest.mark.parametrize("bad", [0.7, np.nan, np.inf])
+    def test_non_integral_types_name_types(self, bad):
+        # 0.7 used to be truncated to type 0, and the benchmark then solved
+        # the all-zeros path
+        with pytest.raises(ValueError, match="types must be integers"):
+            ArrivalSequence.from_dict({"mode": "discrete", "types": [bad] * 30})
+        with pytest.raises(ValueError, match="types must be integers"):
+            ArrivalSequence(types=np.full(30, bad))
+
+    def test_integral_types_of_any_dtype_are_kept(self):
+        want = np.array([0, 2, 1, 1])
+        for types in (want, want.astype(np.int16), want.astype(float), want.tolist(),
+                      [0.0, 2.0, 1.0, 1.0]):
+            got = ArrivalSequence(types=types).types
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("seed", [0, 1, 2])

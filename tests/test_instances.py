@@ -148,6 +148,14 @@ class TestIdealQuantities:
         np.testing.assert_array_equal(back.counts, obs.counts)
         np.testing.assert_array_equal(back.arrivals, obs.arrivals)
 
+    @pytest.mark.parametrize("rows", [["1,1,-2"], ["1,0,3", "1,1,-2", "1,2,1"]])
+    def test_negative_ideal_quantity_names_counts(self, tmp_path, rows):
+        # such a file used to load, and the MLE then returned -inf
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(["interval,resource,ideal_quantity"] + rows) + "\n")
+        with pytest.raises(ValueError, match="counts .* must be nonnegative"):
+            AggregateObservation.from_csv(str(path))
+
 
 class TestMle:
     def test_soft_min_rates_bounded_by_rate(self):
@@ -191,7 +199,7 @@ class TestMle:
 
     @pytest.mark.parametrize("n_types", [1, 3])
     def test_batched_restarts_match_one_at_a_time(self, n_types):
-        from flowtarget.instances import _project_simplex
+        from flowtarget.solver import project_simplex
         model = GumbelCostModel(locations=np.array([[-0.8, 0.9], [0.6, -0.5], [0.1, 1.0]]),
                                 probs=np.array([0.8, 0.15, 0.05]), rate=3.0)
         obs = generate_observations(model, 400, seed=3)
@@ -205,7 +213,7 @@ class TestMle:
                 _, gp, gc = mle_gradient(p, c, rate, mean_counts)
                 c = np.clip(c - 0.3 * gc, -50.0, 50.0)
                 if n_types > 1:
-                    p = _project_simplex(p - 0.3 * gp)
+                    p = project_simplex(p - 0.3 * gp)
             assert res.restart_lls[r] == -mle_gradient(p, c, rate, mean_counts)[0]
         assert res.restart_lls.max() > res.restart_lls.min()
 

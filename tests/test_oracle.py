@@ -37,7 +37,7 @@ from flowtarget.oracle import (
     validate_solution,
 )
 from flowtarget.policies import POLICIES
-from helpers import reference_dual_subgradient
+from helpers import reference_dual_subgradient, reference_project_cell_simplex, reference_proxy_costs
 
 
 def constant_omega(T):
@@ -312,6 +312,19 @@ class TestProjectCellSimplex:
         v = np.array([[2.0], [-1.0], [0.3], [1.0]])
         np.testing.assert_array_equal(oracle_mod._project_cell_simplex(v), [[1.0], [0.0], [0.3], [1.0]])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_bytes_match_frozen_projection(self, m):
+        rng = np.random.default_rng(100 + m)
+        v = np.vstack([
+            rng.uniform(-1.0, 2.0, size=(2000, m)),
+            rng.integers(-4, 9, size=(2000, m)) / 4.0,  # dyadic, with exact ties and sums of 1
+            rng.integers(-6, 12, size=(2000, m)) / 3.0,  # ties whose thresholds round
+            np.repeat(rng.uniform(0.0, 1.0, size=(500, 1)), m, axis=1),  # every entry tied
+            rng.standard_normal((2000, m)) * 10.0 ** rng.integers(-12, 22, size=(2000, 1)),
+        ])
+        got = oracle_mod._project_cell_simplex(v.copy())
+        assert got.tobytes() == reference_project_cell_simplex(v.copy()).tobytes()
+
 
 class TestCumulativeProxyCost:
     def test_single_epoch_equals_total_cost(self):
@@ -331,12 +344,53 @@ class TestCumulativeProxyCost:
         assert cumulative_proxy_cost(inst, r, 0) == 0.0
         assert cumulative_proxy_cost(inst, r, 1) == 0.0
 
+    @pytest.mark.parametrize("epoch", [-1, 2])
+    def test_epoch_outside_the_horizon_is_rejected(self, epoch):
+        # -1 used to return NaN and K to return 0.0
+        inst = zero_cost_two_target_instance(0.3, 0.4, 1.0, 20)
+        r = run_proxy_dual_gd(inst, constant_omega(20))
+        with pytest.raises(ValueError, match=r"epoch must lie in \[0, 2\), got " + str(epoch)):
+            cumulative_proxy_cost(inst, r, epoch)
+
     def test_requires_proxy_traces(self):
         inst = zero_cost_two_target_instance(0.3, 0.4, 1.0, 20)
         omega = constant_omega(20)
         r = POLICIES["smart-me"](inst, omega, None)
         with pytest.raises(ValueError, match="proxy"):
             cumulative_proxy_cost(inst, r, 0)
+
+
+def proxy_pass_case(kind, seed):
+    """A proxy-dgd run: typed with squared cells, continuous, or K = 1."""
+    if kind == "typed-squared":
+        inst = random_instance(seed + 900, max_K=4, max_T=240, allow_squared=True)
+        return inst, run_proxy_dual_gd(inst, sample_arrivals(inst, seed))
+    if kind == "single-epoch":
+        inst = random_instance(seed + 950, max_K=1, max_T=120, allow_squared=True)
+        return inst, run_proxy_dual_gd(inst, sample_arrivals(inst, seed))
+    rng = np.random.default_rng(seed)
+    m, K = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    targets = rng.uniform(0.0, 1.0, size=(K, m))
+    family = ["absolute", "squared", "under_over"][seed % 3]
+    inst = Instance(costs=np.zeros((0, m)), feasible=np.zeros((0, m), dtype=bool), probs=None,
+                    epochs=K, horizon=K * int(rng.integers(5, 40)), targets=targets,
+                    dev_costs=uniform_dev_costs(targets, family, float(rng.uniform(0.2, 2.0)), 0.5),
+                    continuous=True)
+    model = GumbelCostModel(locations=rng.uniform(-1.0, 1.0, size=(1, m)), rate=4.0)
+    return inst, run_proxy_dual_gd(inst, sample_gumbel_arrivals(model, inst.T, seed=seed))
+
+
+class TestProxyPassMatchesFrozenWalks:
+    @pytest.mark.parametrize("kind", ["typed-squared", "continuous", "single-epoch"])
+    def test_equal_to_scalar_walks(self, kind):
+        squared = 0
+        for seed in range(40):
+            inst, r = proxy_pass_case(kind, seed)
+            per_epoch, decomposition = reference_proxy_costs(inst, r)
+            assert [cumulative_proxy_cost(inst, r, k) for k in range(inst.K)] == per_epoch
+            assert oracle_mod.proxy_cost_decomposition(inst, r) == decomposition
+            squared += inst.dev_grid.has_squared
+        assert squared >= 10
 
 
 def pinned_dual_problem(kind):
