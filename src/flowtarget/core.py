@@ -364,10 +364,13 @@ class Instance:
                 raise ValueError(f"feasible_sets[{j}] entries must lie in [0, {m}), got {idx.tolist()}")
             feas[j, idx] = True
         dev = tuple(tuple(DeviationCost.from_dict(g) for g in row) for row in d["dev_costs"])
+        costs = np.asarray(d["costs"], dtype=float)
+        if costs.size != n * m:
+            raise ValueError(f"costs must have n * m = {n * m} entries, got {costs.size}")
         targets = np.asarray(d["targets"], dtype=float)
         extended = bool(np.any(targets < 0.0) or np.any(targets > 1.0))
         return cls(
-            costs=np.asarray(d["costs"], dtype=float).reshape(n, m),
+            costs=costs.reshape(n, m),
             feasible=feas,
             probs=None if d.get("probs") is None else np.asarray(d["probs"], dtype=float),
             epochs=int(d["K"]),
@@ -430,8 +433,12 @@ class ArrivalSequence:
             raise ValueError("exactly one of types / cost_vectors must be given")
         if self.types is not None:
             object.__setattr__(self, "types", _readonly(integer_array(self.types, "types")))
+            if self.types.ndim != 1:
+                raise ValueError(f"types must be one-dimensional, got shape {self.types.shape}")
         else:
             object.__setattr__(self, "cost_vectors", _readonly(np.atleast_2d(np.asarray(self.cost_vectors, dtype=float))))
+            if self.cost_vectors.ndim != 2:
+                raise ValueError(f"cost_vectors must be a (T, m) matrix, got shape {self.cost_vectors.shape}")
 
     @property
     def continuous(self) -> bool:

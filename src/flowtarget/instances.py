@@ -264,12 +264,20 @@ class AggregateObservation:
             header = fh.readline()
             if not header.startswith("interval"):
                 raise ValueError("expected an (interval, resource, ideal_quantity) CSV")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                t_s, i_s, q_s = line.split(",")
-                rows[(int(t_s) - 1, int(i_s))] = int(q_s)
-                m_max = max(m_max, int(i_s))
+                try:
+                    t, i, q = (int(v) for v in line.split(","))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: expected three integers, got {line.strip()!r}") from None
+                if t < 1 or i < 0:
+                    raise ValueError(f"line {lineno}: intervals start at 1 and resources at 0 "
+                                     f"(the outside option), got interval {t}, resource {i}")
+                if (t - 1, i) in rows:
+                    raise ValueError(f"line {lineno}: interval {t}, resource {i} appears twice")
+                rows[(t - 1, i)] = q
+                m_max = max(m_max, i)
         n_int = max(t for t, _ in rows) + 1
         counts = np.zeros((n_int, m_max), dtype=np.int64)
         arrivals = np.zeros(n_int, dtype=np.int64)

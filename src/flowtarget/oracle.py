@@ -387,6 +387,8 @@ def _solve_window(instance, omega, window, prior, proxy_future, backend, dual_it
         obj, z = _solve_exact_lp(instance, costs, feas, caps, window, prior)
         return OfflineSolution(z, obj, EXACT_LP, 0.0, obj, window_start=window[0])
     if backend == DUAL_SUBGRADIENT:
+        if dual_iters < 1:
+            raise ValueError(f"dual_iters must be at least 1, got {dual_iters}")
         primal, dual, z = _solve_dual_subgradient(
             instance, costs, feas, caps, window, prior,
             dual_iters, DUAL_STEP, GAP_REL, GAP_ABS)

@@ -3,12 +3,17 @@
 Every policy is a pure function ``(instance, arrivals, config) -> RunResult``;
 identical inputs produce identical runs. All of them follow one primal-dual
 template -- assign at the dual-adjusted cost, solve for the idealized
-consumption, take an OGD step on the prices -- and all run on one
-per-period loop, :func:`_simulate`. A policy supplies only an epoch-start
-hook, its assignment price row and a post-decision update; the run's
-totals, per-type counts, epoch snapshots and costs are accounted once,
-after the loop, from the decisions by
-:func:`flowtarget.core.replay_decisions`. The policies are:
+consumption, take an OGD step on the prices -- and one kernel,
+:func:`_simulate`, runs it: it reads the stepsize and initial prices from
+the :class:`PolicyConfig`, takes the proxy decisions of later epochs when
+the policy records them, and takes every OGD step. A policy supplies only
+an epoch-start hook (its live price rows, their idealized-consumption solve
+and their penalty-free coordinates) and its assignment price row. The
+run's totals, per-type counts, epoch snapshots and costs are accounted
+once, after the loop, from the decisions by
+:func:`flowtarget.core.replay_decisions` and :func:`flowtarget.core.total_cost`.
+
+The policies are:
 
 * :func:`run_proxy_dual_gd` -- dual gradient descent with proxy assignments,
   one shadow-price row per epoch, future-epoch proxy decisions, a coupled
@@ -42,8 +47,8 @@ from .core import (
     ArrivalSequence,
     Instance,
     check_prior,
-    deviation_cost_from_snapshots,
     replay_decisions,
+    total_cost,
 )
 from .solver import chain_prefix_argmin, dev_price_table, min_dev_plus_price
 from .solver import solve_box_convex  # noqa: F401 -- perfbench's tracer wraps this name here
@@ -55,7 +60,8 @@ PROXY_NA = -2  # proxy slot for epochs already in the past
 class PolicyConfig:
     """Hyperparameters shared by the dual-descent policies.
 
-    ``eta`` overrides the default stepsize ``eta_mult * sqrt(K / T)``.
+    ``eta`` overrides the default stepsize ``eta_mult * sqrt(K / T)``; the
+    one that is used must be positive and finite.
     ``mu_init`` is the initial (K, m) shadow-price matrix (zeros when
     omitted); single-row policies use the row of their current epoch.
     """
@@ -65,9 +71,10 @@ class PolicyConfig:
     mu_init: Optional[np.ndarray] = None
 
     def stepsize(self, K: int, T: int) -> float:
+        name, value = ("eta", self.eta) if self.eta is not None else ("eta_mult", self.eta_mult)
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.eta is not None:
-            if self.eta <= 0:
-                raise ValueError("stepsize must be positive")
             return float(self.eta)
         return self.eta_mult * float(np.sqrt(K / T))
 
@@ -166,14 +173,19 @@ def idealized_consumption(
     if not np.all(np.isfinite(duals)):
         raise ValueError("duals must be finite")
     prior = check_prior(instance, prior_consumption, epoch, "prior_consumption")
-    return _chain_solve(_chain_table(instance, epoch, prior), duals)
+    return _chain_solver(instance, epoch, prior)(duals)
 
 
-def _chain_table(instance: Instance, epoch: int, prior: np.ndarray) -> list:
-    """The price-free inputs of :func:`chain_prefix_argmin` for the epochs
-    ``epoch..K-1``: per resource column, lists of ``tau``, ``d+``, ``d-``
-    and curvature. They depend on the consumption ``prior`` to the epoch's
-    start only, so one table serves every period of the epoch."""
+def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
+    """The idealized-consumption solve of the epochs ``epoch..K-1``, as a
+    function of their price rows.
+
+    The price-free inputs of :func:`chain_prefix_argmin` (per resource
+    column, lists of ``tau``, ``d+``, ``d-`` and curvature) depend on the
+    consumption ``prior`` to the epoch's start only, so they are built once
+    here and serve every period of the epoch. In prefix variables epoch
+    ``q``'s price is ``nu_q = duals_q - duals_{q+1}`` (the last epoch's is
+    its own row)."""
     K = instance.K
     grid = instance.dev_grid
     x_units = prior * K / instance.T
@@ -183,93 +195,88 @@ def _chain_table(instance: Instance, epoch: int, prior: np.ndarray) -> list:
     dm = grid.d_minus[epoch:]
     # a squared stage in prefix units: w d ((x + s) / w - rho)^2 = (d / w) (s - tau)^2
     curv = np.where(grid.is_squared[epoch:], dp, 0.0) / weights[:, None]
-    return list(zip(tau.T.tolist(), dp.T.tolist(), dm.T.tolist(), curv.T.tolist()))
+    table = list(zip(tau.T.tolist(), dp.T.tolist(), dm.T.tolist(), curv.T.tolist()))
+
+    def solve(duals: np.ndarray) -> np.ndarray:
+        a = np.empty(duals.shape)
+        for i, (col, (tau, dp, dm, curv)) in enumerate(zip(duals.T.tolist(), table)):
+            nu = [d - d_next for d, d_next in zip(col, col[1:])]
+            nu.append(col[-1])
+            a[:, i] = chain_prefix_argmin(tau, dp, dm, nu, curv)
+        return a
+
+    return solve
 
 
-def _chain_solve(table: list, duals: np.ndarray) -> np.ndarray:
-    """Idealized consumptions of the table's epochs at the price rows
-    ``duals``: in prefix variables epoch ``q``'s price is
-    ``nu_q = duals_q - duals_{q+1}`` (the last epoch's is its own row)."""
-    a = np.empty(duals.shape)
-    for i, (col, (tau, dp, dm, curv)) in enumerate(zip(duals.T.tolist(), table)):
-        nu = [d - d_next for d, d_next in zip(col, col[1:])]
-        nu.append(col[-1])
-        a[:, i] = chain_prefix_argmin(tau, dp, dm, nu, curv)
-    return a
-
-
-def _zero_penalty_tail(instance: Instance) -> np.ndarray:
-    """(K, m) mask: True where no deviation penalty acts on the coordinate's
-    row or any later row, so the aux objective is flat in it whenever its
-    price is zero."""
-    free = (instance.dev_grid.d_plus == 0.0) & (instance.dev_grid.d_minus == 0.0)
-    return np.logical_and.accumulate(free[::-1], axis=0)[::-1]
-
-
-def _consumption_rows(m: int) -> np.ndarray:
-    """Row ``x`` is the consumption vector of decision ``x``; the last row,
-    which ``REJECT`` (-1) indexes, is zero."""
-    return np.vstack([np.eye(m), np.zeros(m)])
-
-
-def _flat_coordinates(free: np.ndarray) -> Optional[np.ndarray]:
-    """``free`` when some coordinate in it is penalty-free, else None, so
-    that :func:`_step` skips the flat-coordinate test for a whole epoch."""
-    return free if free.any() else None
-
-
-def _step(mu: np.ndarray, a: np.ndarray, x_ind: np.ndarray, flat: Optional[np.ndarray],
-          eta: float) -> np.ndarray:
-    """Take the OGD step on the price rows ``mu`` in place and return the
-    idealized consumptions ``a``. Among minimizers of a flat coordinate ``a``
-    takes the implemented decision, which keeps a penalty-free coordinate's
-    price at zero; ``flat`` is None when no coordinate is flat."""
-    if flat is not None:
-        mask = flat & (mu == 0.0)
-        if mask.any():
-            a = a.copy()
-            a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
-    mu += eta * (a - x_ind)
-    return a
-
-
-def _simulate(policy, instance, arrivals, eta, mu, epoch_start, price, update,
+def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
               proxy_dec=None, shown=None) -> RunResult:
-    """The one per-period loop behind every policy.
+    """The one per-period loop behind every policy, and the one place that
+    runs the primal-dual template.
 
-    ``mu`` is the policy's (K, m) price matrix; the kernel traces it at the
-    start of every period and the policy updates it in place. At the first
-    period of epoch ``k``, ``epoch_start(k, totals)`` sees the per-resource
-    consumption so far and returns the rows of ``mu`` the epoch updates.
-    Each period implements :func:`proxy_assign` at the price row
-    ``price(k)``; ``update(t, k, x, cvec, feasible)`` then takes the
-    policy's step on ``mu`` and returns the idealized consumptions of those
-    rows (None when the policy has no prices). ``shown`` is an optional
-    (T + 1, K) mask of the trace rows the policy reports; the rest read 0.
-    Run costs are accounted once, after the loop, from the decisions.
+    The kernel reads the stepsize and the initial (K, m) price matrix from
+    ``config`` (``PolicyConfig()`` when None) and traces the prices ``mu``
+    at the start of every period. At the first period of epoch ``k``,
+    ``epoch_start(k, totals, mu, mu_init)`` sees the per-resource
+    consumption so far and the initial prices, may reset rows of ``mu``, and
+    returns ``(rows, solve, penalty_free)``: the index of the live rows of
+    ``mu``, the map from their prices to their idealized consumptions (a
+    fresh array each call, which the kernel may edit), and the mask of live coordinates that no deviation penalty acts on. Each
+    period implements :func:`proxy_assign` at the price row
+    ``price(mu, k)`` (``mu[k]`` when None). When ``proxy_dec`` is given,
+    every later live row also takes its own proxy decision, recorded there.
+    Every live row then takes the step :func:`ogd_update` from the
+    consumption of its decision toward its idealized consumption; among
+    minimizers of a flat (penalty-free) coordinate the idealized consumption
+    takes the decision's, which keeps that coordinate's zero price at zero.
+    Without ``epoch_start`` the run keeps zero prices and takes no step.
+    ``shown`` is an optional (T + 1, K) mask of the trace rows the policy
+    reports; the rest read 0. Run costs are accounted once, after the loop,
+    from the decisions.
     """
     arrivals.validate_for(instance)
     T, K, m = instance.T, instance.K, instance.m
     step = instance.epoch_len
+    if epoch_start is None:
+        eta, mu_init = 0.0, np.zeros((K, m))
+    else:
+        config = config or PolicyConfig()
+        eta, mu_init = config.stepsize(K, T), config.initial_duals(K, m)
+    mu = mu_init.copy()
+    consumed = np.eye(m + 1, m)    # row x: decision x's use; REJECT (-1) reads the zero row
     decisions = np.full(T, REJECT, dtype=np.int16)
     mu_trace = np.zeros((T + 1, K, m))
     a_trace = np.zeros((T, K, m))
     for t, (cvec, feas) in enumerate(zip(*arrivals.per_period(instance))):
         k = t // step
-        if t % step == 0:
-            rows = epoch_start(k, np.bincount(decisions[:t] + 1, minlength=m + 1)[1:])
+        if t % step == 0 and epoch_start is not None:
+            totals = np.bincount(decisions[:t] + 1, minlength=m + 1)[1:]
+            rows, solve, free = epoch_start(k, totals, mu, mu_init)
+            live = mu[rows]
+            flat = free if free.any() else None
         mu_trace[t] = mu
-        x = proxy_assign(cvec, feas, price(k))
+        x = proxy_assign(cvec, feas, mu[k] if price is None else price(mu, k))
         decisions[t] = x
-        a = update(t, k, x, cvec, feas)
-        if a is not None:
-            a_trace[t, rows] = a
+        if epoch_start is None:
+            continue
+        if proxy_dec is not None:
+            dec = proxy_dec[t, rows]
+            dec[0] = x
+            dec[1:] = proxy_assign(cvec, feas, live[1:])
+            x = dec
+        x_ind = consumed[x]
+        a = solve(live)
+        if flat is not None:
+            mask = flat & (live == 0.0)
+            if mask.any():
+                a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
+        live[...] = ogd_update(live, a, x_ind, eta)
+        a_trace[t, rows] = a
     mu_trace[T] = mu
     if shown is not None:
         mu_trace[~shown] = 0.0
     state, assignment = replay_decisions(instance, arrivals, decisions)
+    assignment, deviation, total = total_cost(instance, state, assignment)
     snapshots = np.array(state.snapshots)
-    deviation = deviation_cost_from_snapshots(instance, snapshots)
     running = snapshots / (np.arange(1, K + 1) * step)[:, None]
     return RunResult(
         policy=policy,
@@ -283,7 +290,7 @@ def _simulate(policy, instance, arrivals, eta, mu, epoch_start, price, update,
         by_type_final=state.by_type,
         assignment_cost=assignment,
         deviation_cost=deviation,
-        total_cost=assignment + deviation,
+        total_cost=total,
         running_avg=running,
         abs_deviation=np.abs(running - instance.targets),
     )
@@ -303,32 +310,18 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
     takes an OGD step toward reconciling its proxy decision with its
     idealized consumption.
     """
-    config = config or PolicyConfig()
-    T, K, m = instance.T, instance.K, instance.m
-    eta = config.stepsize(K, T)
-    mu_init = config.initial_duals(K, m)
-    mu = mu_init.copy()
-    proxy_dec = np.full((T, K), PROXY_NA, dtype=np.int16)
-    flat_tail = _zero_penalty_tail(instance)
-    consumed = _consumption_rows(m)
-    table = flat = None
+    # the coupled solve is flat in a coordinate only when no penalty acts
+    # on its row or on any later row
+    grid = instance.dev_grid
+    free = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
+    free = np.logical_and.accumulate(free[::-1], axis=0)[::-1]
 
-    def epoch_start(k, totals):
-        nonlocal table, flat
+    def epoch_start(k, totals, mu, mu_init):
         mu[k:] = mu_init[k:]
-        table = _chain_table(instance, k, totals.astype(float))
-        flat = _flat_coordinates(flat_tail[k:])
-        return slice(k, None)
+        return slice(k, None), _chain_solver(instance, k, totals.astype(float)), free[k:]
 
-    def update(t, k, x, cvec, feas):
-        rows = mu[k:]
-        dec = proxy_dec[t, k:]
-        dec[0] = x
-        dec[1:] = proxy_assign(cvec, feas, rows[1:])
-        return _step(rows, _chain_solve(table, rows), consumed[dec], flat, eta)
-
-    return _simulate("proxy-dgd", instance, arrivals, eta, mu, epoch_start,
-                     lambda k: mu[k], update, proxy_dec=proxy_dec)
+    proxy_dec = np.full((instance.T, instance.K), PROXY_NA, dtype=np.int16)
+    return _simulate("proxy-dgd", instance, arrivals, config, epoch_start, proxy_dec=proxy_dec)
 
 
 def run_single_epoch_dgd(instance: Instance, arrivals: ArrivalSequence,
@@ -364,6 +357,15 @@ def myopic_epoch_targets(instance: Instance, epoch: int, variant: str,
     raise ValueError(f"unknown myopic variant {variant!r}")
 
 
+def _dev_price_start(grid, rows, target):
+    """Epoch start of the policies whose live rows each solve their own
+    ``argmin g(a) + mu a`` (myopic and naive-pd): the live ``rows`` of
+    ``grid``, their solve against ``target`` and their penalty-free mask."""
+    dp, dm = grid.d_plus[rows], grid.d_minus[rows]
+    table = dev_price_table(grid.is_squared[rows], target, dp, dm)
+    return rows, lambda mu: min_dev_plus_price(table, mu), (dp == 0.0) & (dm == 0.0)
+
+
 def run_myopic(instance: Instance, arrivals: ArrivalSequence,
                config: Optional[PolicyConfig] = None, variant: str = "smart-me") -> RunResult:
     """Myopic benchmark: an independent single-epoch run per epoch.
@@ -376,31 +378,16 @@ def run_myopic(instance: Instance, arrivals: ArrivalSequence,
     shows only the live row; a finished epoch's final row appears at the
     next epoch's first period.
     """
-    config = config or PolicyConfig()
-    T, K, m = instance.T, instance.K, instance.m
-    step = instance.epoch_len
-    eta = config.stepsize(K, T)
-    mu = config.initial_duals(K, m)
+    T, step = instance.T, instance.epoch_len
     grid = instance.dev_grid
-    flat_rows = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
-    consumed = _consumption_rows(m)
-    table = flat = None
 
-    def epoch_start(k, totals):
-        nonlocal table, flat
-        target = myopic_epoch_targets(instance, k, variant, totals)
-        table = dev_price_table(grid.is_squared[k], target, grid.d_plus[k], grid.d_minus[k])
-        flat = _flat_coordinates(flat_rows[k])
-        return k
-
-    def update(t, k, x, cvec, feas):
-        return _step(mu[k], min_dev_plus_price(table, mu[k]), consumed[x], flat, eta)
+    def epoch_start(k, totals, *_):
+        return _dev_price_start(grid, k, myopic_epoch_targets(instance, k, variant, totals))
 
     t = np.arange(T + 1)[:, None]
-    lag = t // step - np.arange(K)
+    lag = t // step - np.arange(instance.K)
     shown = (lag == 0) | ((lag == 1) & (t % step == 0))
-    return _simulate(variant, instance, arrivals, eta, mu, epoch_start,
-                     lambda k: mu[k], update, shown=shown)
+    return _simulate(variant, instance, arrivals, config, epoch_start, shown=shown)
 
 
 def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
@@ -413,36 +400,17 @@ def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
     then steps toward its own idealized consumption against the single
     implemented decision. No per-epoch reset.
     """
-    config = config or PolicyConfig()
-    K, m = instance.K, instance.m
-    eta = config.stepsize(K, instance.T)
-    mu = config.initial_duals(K, m)
     grid = instance.dev_grid
-    flat_rows = (grid.d_plus == 0.0) & (grid.d_minus == 0.0)
-    consumed = _consumption_rows(m)
-    table = flat = None
-
-    def epoch_start(k, totals):
-        nonlocal table, flat
-        table = dev_price_table(grid.is_squared[k:], grid.target[k:],
-                                grid.d_plus[k:], grid.d_minus[k:])
-        flat = _flat_coordinates(flat_rows[k:])
-        return slice(k, None)
-
-    def update(t, k, x, cvec, feas):
-        return _step(mu[k:], min_dev_plus_price(table, mu[k:]), consumed[x], flat, eta)
-
-    return _simulate("naive-pd", instance, arrivals, eta, mu, epoch_start,
-                     lambda k: mu[k:].sum(axis=0), update)
+    return _simulate("naive-pd", instance, arrivals, config,
+                     lambda k, *_: _dev_price_start(grid, slice(k, None), grid.target[k:]),
+                     price=lambda mu, k: mu[k:].sum(axis=0))
 
 
 def run_greedy(instance: Instance, arrivals: ArrivalSequence,
                config: Optional[PolicyConfig] = None) -> RunResult:
     """Assign each arrival to its cheapest feasible resource when that cost
     is nonpositive, otherwise reject; targets are ignored entirely."""
-    zeros = np.zeros(instance.m)
-    return _simulate("greedy", instance, arrivals, 0.0, np.zeros((instance.K, instance.m)),
-                     lambda k, totals: None, lambda k: zeros, lambda t, k, x, cvec, feas: None)
+    return _simulate("greedy", instance, arrivals, config=None, epoch_start=None)
 
 
 POLICIES = {

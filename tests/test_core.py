@@ -18,6 +18,8 @@ from flowtarget import (
 from flowtarget.core import export_trace_csv
 from flowtarget.instances import (
     NonstatProfile,
+    SyntheticParams,
+    generate_synthetic,
     idle_then_full_instance,
     nonstationary_total_cost,
     random_instance,
@@ -285,6 +287,12 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=field):
             Instance.from_dict(json.loads(text))
 
+    def test_costs_of_the_wrong_size_fail_in_from_dict(self):
+        # a missing row used to fail with numpy's "cannot reshape" message
+        d = generate_synthetic(SyntheticParams(T=30, seed=7)).to_dict()
+        with pytest.raises(ValueError, match=r"costs must have n \* m = 9 entries, got 6"):
+            Instance.from_dict({**d, "costs": d["costs"][:-1]})
+
     def test_non_finite_cost_vectors_rejected(self):
         inst = Instance(costs=np.zeros((0, 2)), feasible=np.zeros((0, 2), dtype=bool), probs=None,
                         epochs=1, horizon=2, targets=np.array([[0.5, 0.5]]),
@@ -332,6 +340,16 @@ class TestArrivalTypes:
             ArrivalSequence.from_dict({"mode": "discrete", "types": [bad] * 30})
         with pytest.raises(ValueError, match="types must be integers"):
             ArrivalSequence(types=np.full(30, bad))
+
+    def test_types_must_be_one_dimensional(self):
+        # a (30, 2) array used to be accepted and to fail later inside numpy
+        with pytest.raises(ValueError, match=r"types must be one-dimensional, got shape \(30, 2\)"):
+            ArrivalSequence(types=np.zeros((30, 2), dtype=int))
+
+    def test_cost_vectors_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match=r"cost_vectors must be a \(T, m\) matrix, got shape \(30, 3, 2\)"):
+            ArrivalSequence(cost_vectors=np.zeros((30, 3, 2)))
+        assert ArrivalSequence(cost_vectors=[0.1, -0.2]).cost_vectors.shape == (1, 2)
 
     def test_integral_types_of_any_dtype_are_kept(self):
         want = np.array([0, 2, 1, 1])

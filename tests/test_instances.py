@@ -156,6 +156,23 @@ class TestIdealQuantities:
         with pytest.raises(ValueError, match="counts .* must be nonnegative"):
             AggregateObservation.from_csv(str(path))
 
+    @pytest.mark.parametrize("rows, message", [
+        # interval 0 used to wrap onto the last interval: arrivals [4, 11]
+        (["0,0,5", "0,1,2", "1,0,1", "1,1,3", "2,0,4", "2,1,0"],
+         r"line 2: intervals start at 1 .* got interval 0, resource 0"),
+        # a negative resource used to count as the outside option
+        (["1,0,3", "1,-1,2"], r"line 3: .* got interval 1, resource -1"),
+        # a repeated row used to overwrite the earlier one
+        (["1,0,3", "1,1,2", "2,0,1", "1,1,4"], r"line 5: interval 1, resource 1 appears twice"),
+        (["1,0,3", "1,1"], r"line 3: expected three integers, got '1,1'"),
+        (["1,0,3", "1,1,2.5"], r"line 3: expected three integers, got '1,1,2.5'"),
+    ])
+    def test_misplaced_rows_name_their_line(self, tmp_path, rows, message):
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(["interval,resource,ideal_quantity"] + rows) + "\n")
+        with pytest.raises(ValueError, match=message):
+            AggregateObservation.from_csv(str(path))
+
 
 class TestMle:
     def test_soft_min_rates_bounded_by_rate(self):

@@ -267,6 +267,23 @@ class TestPriorValidation:
             solve(inst, types, np.full(inst.m, inst.epoch_len + 1.0), 1)
 
 
+class TestDualIters:
+    @pytest.mark.parametrize("dual_iters", [0, -3])
+    @pytest.mark.parametrize("solve", ["hindsight", "myopic", "proxy"])
+    def test_fewer_than_one_step_names_dual_iters(self, solve, dual_iters):
+        # these used to fail with "cannot unpack non-iterable NoneType object"
+        inst = generate_synthetic(SyntheticParams(T=30, seed=7))
+        omega = sample_arrivals(inst, 7)
+        if solve == "hindsight":
+            args = (inst, omega)
+        else:
+            args = (inst, omega.types[:inst.epoch_len], np.zeros(inst.m), 0)
+        fn = {"hindsight": hindsight_optimum, "myopic": myopic_offline, "proxy": proxy_offline}[solve]
+        with pytest.raises(ValueError, match=rf"dual_iters must be at least 1, got {dual_iters}"):
+            fn(*args, backend=DUAL_SUBGRADIENT, dual_iters=dual_iters)
+        assert fn(*args, dual_iters=dual_iters).backend == EXACT_LP   # unused by the exact LP
+
+
 def bisection_cell_projection(row, iters=200):
     """Projection of one row onto {s >= 0, sum(s) <= 1}: the row clipped at 0
     if that sums to at most 1, else ``max(row - theta, 0)`` with ``theta``

@@ -106,6 +106,32 @@ class TestOgdUpdate:
         np.testing.assert_array_equal(ogd_update(mu, a, x, eta), mu + eta * (a - x))
 
 
+class TestPolicyConfig:
+    @pytest.mark.parametrize("config, field", [
+        (PolicyConfig(eta=np.nan), "eta"),
+        (PolicyConfig(eta=np.inf), "eta"),
+        (PolicyConfig(eta=0.0), "eta"),
+        (PolicyConfig(eta=-0.1), "eta"),
+        (PolicyConfig(eta_mult=-1.0), "eta_mult"),
+        (PolicyConfig(eta_mult=0.0), "eta_mult"),
+        (PolicyConfig(eta_mult=np.nan), "eta_mult"),
+    ])
+    @pytest.mark.parametrize("policy", ["proxy-dgd", "smart-me", "naive-pd"])
+    def test_bad_stepsize_names_its_field(self, config, field, policy):
+        # eta_mult = -1 used to run proxy-dgd with prices moving the wrong
+        # way (cost 34.3151...), and eta = nan to run it on NaN prices
+        inst = generate_synthetic(SyntheticParams(T=30, seed=7))
+        with pytest.raises(ValueError, match=rf"^{field} must be positive and finite"):
+            POLICIES[policy](inst, sample_arrivals(inst, 7), config)
+
+    def test_greedy_ignores_its_config(self):
+        inst = generate_synthetic(SyntheticParams(T=30, seed=7))
+        omega = sample_arrivals(inst, 7)
+        run = run_greedy(inst, omega, PolicyConfig(eta_mult=-1.0, mu_init=np.ones((inst.K, inst.m))))
+        assert run.eta == 0.0 and not run.mu_trace.any()
+        np.testing.assert_array_equal(run.decisions, run_greedy(inst, omega).decisions)
+
+
 def single_dev_instance(dev, T=10, K=1, cost=0.0):
     targets = np.array([[dev.target if dev.family != "zero" else 0.0]] * K)
     return Instance(costs=[[cost]], feasible=[[True]], probs=np.array([1.0]), epochs=K,
