@@ -599,24 +599,25 @@ def total_cost(instance: Instance, state: ConsumptionState,
         if instance.continuous:
             raise ValueError("continuous-cost mode requires the realized assignment cost")
         assignment_cost = float(np.sum(instance.costs * state.by_type))
-    snapshots = np.asarray(state.snapshots, dtype=float)
-    avg = snapshots / (np.arange(1, K + 1) * instance.epoch_len)[:, None]
+    deviation, avg = _deviation_and_rates(instance, state.snapshots)
     outside = ~((avg >= -_DOMAIN_TOL) & (avg <= 1.0 + _DOMAIN_TOL))
     if outside.any():
         k, i = np.argwhere(outside)[0]
         raise ValueError(f"consumption rate {avg[k, i]} outside [0, 1] at epoch {k}, resource {i}")
-    deviation = deviation_cost_from_snapshots(instance, snapshots)
     return float(assignment_cost), deviation, float(assignment_cost) + deviation
 
 
 def deviation_cost_from_snapshots(instance: Instance, snapshots: np.ndarray) -> float:
     """Scaled deviation cost from a (K, m) array of epoch-end consumption totals."""
-    K, T, m = instance.K, instance.T, instance.m
-    snapshots = np.asarray(snapshots, dtype=float)
-    periods = (np.arange(1, K + 1) * (T // K)).astype(float)
-    avg = snapshots / periods[:, None]
-    vals = instance.dev_grid.evaluate(avg)
-    return float((periods[:, None] * vals).sum())
+    return _deviation_and_rates(instance, snapshots)[0]
+
+
+def _deviation_and_rates(instance: Instance, snapshots) -> tuple[float, np.ndarray]:
+    """The scaled deviation cost of the epoch-end ``snapshots`` and the
+    (K, m) running averages it charges."""
+    periods = (np.arange(1, instance.K + 1) * instance.epoch_len).astype(float)
+    avg = np.asarray(snapshots, dtype=float) / periods[:, None]
+    return float((periods[:, None] * instance.dev_grid.evaluate(avg)).sum()), avg
 
 
 def export_trace_csv(path: str, instance: Instance, arrivals: ArrivalSequence,

@@ -285,7 +285,13 @@ class AggregateObservation:
             arrivals[t] += q
             if i >= 1:
                 counts[t, i - 1] = q
-        return cls(counts, arrivals)
+        obs = cls(counts, arrivals)
+        for t in range(n_int):  # to_csv writes every row; a gap is not an empty interval
+            for i in range(m_max + 1):
+                if (t, i) not in rows:
+                    raise ValueError(f"interval {t + 1}, resource {i} has no row: every interval "
+                                     f"1..{n_int} needs one for each resource 0..{m_max}")
+        return obs
 
 
 def ideal_quantities(cost_vectors: np.ndarray, interval_sizes: Sequence[int]) -> AggregateObservation:

@@ -20,7 +20,8 @@ The policies are:
   idealized-consumption solve, and a per-epoch dual reset. The solve's
   price-free inputs (a chain table of targets, penalty weights and
   curvatures per resource) are built once per epoch; each period only
-  prices the table and runs one :func:`chain_prefix_argmin` per resource.
+  prices the table and solves every resource in one batch call of
+  :func:`chain_prefix_argmin`.
 * :func:`run_myopic` -- per-epoch single-epoch runs driven by epoch-local
   targets (variants ``me`` and ``smart-me``).
 * :func:`run_single_epoch_dgd` -- the single-epoch dual gradient descent
@@ -180,12 +181,13 @@ def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
     """The idealized-consumption solve of the epochs ``epoch..K-1``, as a
     function of their price rows.
 
-    The price-free inputs of :func:`chain_prefix_argmin` (per resource
-    column, lists of ``tau``, ``d+``, ``d-`` and curvature) depend on the
-    consumption ``prior`` to the epoch's start only, so they are built once
-    here and serve every period of the epoch. In prefix variables epoch
-    ``q``'s price is ``nu_q = duals_q - duals_{q+1}`` (the last epoch's is
-    its own row)."""
+    The price-free inputs of :func:`chain_prefix_argmin` (lists of ``tau``,
+    ``d+``, ``d-`` and curvature, one per resource column; curvature None
+    when no stage is squared) depend on the consumption ``prior`` to the
+    epoch's start only, so they are built once here and serve every period
+    of the epoch. In prefix variables epoch ``q``'s price is
+    ``nu_q = duals_q - duals_{q+1}`` (the last epoch's is its own row). Each
+    call solves every column in one batch call of ``chain_prefix_argmin``."""
     K = instance.K
     grid = instance.dev_grid
     x_units = prior * K / instance.T
@@ -195,15 +197,13 @@ def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
     dm = grid.d_minus[epoch:]
     # a squared stage in prefix units: w d ((x + s) / w - rho)^2 = (d / w) (s - tau)^2
     curv = np.where(grid.is_squared[epoch:], dp, 0.0) / weights[:, None]
-    table = list(zip(tau.T.tolist(), dp.T.tolist(), dm.T.tolist(), curv.T.tolist()))
+    table = (tau.T.tolist(), dp.T.tolist(), dm.T.tolist(),
+             curv.T.tolist() if (curv > 0.0).any() else None)
 
     def solve(duals: np.ndarray) -> np.ndarray:
-        a = np.empty(duals.shape)
-        for i, (col, (tau, dp, dm, curv)) in enumerate(zip(duals.T.tolist(), table)):
-            nu = [d - d_next for d, d_next in zip(col, col[1:])]
-            nu.append(col[-1])
-            a[:, i] = chain_prefix_argmin(tau, dp, dm, nu, curv)
-        return a
+        nu = duals.copy()
+        nu[:-1] -= duals[1:]
+        return chain_prefix_argmin(*table[:3], nu.T.tolist(), table[3]).T
 
     return solve
 
@@ -220,15 +220,18 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     consumption so far and the initial prices, may reset rows of ``mu``, and
     returns ``(rows, solve, penalty_free)``: the index of the live rows of
     ``mu``, the map from their prices to their idealized consumptions (a
-    fresh array each call, which the kernel may edit), and the mask of live coordinates that no deviation penalty acts on. Each
-    period implements :func:`proxy_assign` at the price row
-    ``price(mu, k)`` (``mu[k]`` when None). When ``proxy_dec`` is given,
-    every later live row also takes its own proxy decision, recorded there.
-    Every live row then takes the step :func:`ogd_update` from the
-    consumption of its decision toward its idealized consumption; among
-    minimizers of a flat (penalty-free) coordinate the idealized consumption
-    takes the decision's, which keeps that coordinate's zero price at zero.
-    Without ``epoch_start`` the run keeps zero prices and takes no step.
+    fresh array each call, which the kernel may edit), and the mask of live
+    coordinates that no deviation penalty acts on. Each period implements
+    :func:`proxy_assign` at the price row ``price(mu, k)`` (``mu[k]`` when
+    None). When ``proxy_dec`` is given, every live row instead takes its own
+    proxy decision, in one call, recorded there; the first live row is
+    ``mu[k]``, and its decision is implemented. Every live row then takes
+    the step :func:`ogd_update` from the consumption of its decision toward
+    its idealized consumption; among minimizers of a flat (penalty-free)
+    coordinate the idealized consumption takes the decision's, which keeps
+    that coordinate's zero price at zero.
+    Without ``epoch_start`` the run keeps zero prices and takes no step, so
+    every decision is taken in one pass over the periods' cost arrays.
     ``shown`` is an optional (T + 1, K) mask of the trace rows the policy
     reports; the rest read 0. Run costs are accounted once, after the loop,
     from the decisions.
@@ -236,42 +239,41 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     arrivals.validate_for(instance)
     T, K, m = instance.T, instance.K, instance.m
     step = instance.epoch_len
-    if epoch_start is None:
-        eta, mu_init = 0.0, np.zeros((K, m))
+    costs, feasible = arrivals.per_period(instance)
+    mu_trace = np.zeros((T + 1, K, m))
+    a_trace = np.zeros((T, K, m))
+    if epoch_start is None:  # zero prices and no step: every decision in one pass
+        eta = 0.0
+        adj = np.where(feasible, costs, np.inf)
+        decisions = np.where(adj.min(axis=1) <= 0.0, adj.argmin(axis=1), REJECT).astype(np.int16)
     else:
         config = config or PolicyConfig()
         eta, mu_init = config.stepsize(K, T), config.initial_duals(K, m)
-    mu = mu_init.copy()
-    consumed = np.eye(m + 1, m)    # row x: decision x's use; REJECT (-1) reads the zero row
-    decisions = np.full(T, REJECT, dtype=np.int16)
-    mu_trace = np.zeros((T + 1, K, m))
-    a_trace = np.zeros((T, K, m))
-    for t, (cvec, feas) in enumerate(zip(*arrivals.per_period(instance))):
-        k = t // step
-        if t % step == 0 and epoch_start is not None:
-            totals = np.bincount(decisions[:t] + 1, minlength=m + 1)[1:]
-            rows, solve, free = epoch_start(k, totals, mu, mu_init)
-            live = mu[rows]
-            flat = free if free.any() else None
-        mu_trace[t] = mu
-        x = proxy_assign(cvec, feas, mu[k] if price is None else price(mu, k))
-        decisions[t] = x
-        if epoch_start is None:
-            continue
-        if proxy_dec is not None:
-            dec = proxy_dec[t, rows]
-            dec[0] = x
-            dec[1:] = proxy_assign(cvec, feas, live[1:])
-            x = dec
-        x_ind = consumed[x]
-        a = solve(live)
-        if flat is not None:
-            mask = flat & (live == 0.0)
-            if mask.any():
-                a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
-        live[...] = ogd_update(live, a, x_ind, eta)
-        a_trace[t, rows] = a
-    mu_trace[T] = mu
+        mu = mu_init.copy()
+        consumed = np.eye(m + 1, m)    # row x: decision x's use; REJECT (-1) reads the zero row
+        decisions = np.full(T, REJECT, dtype=np.int16)
+        for t, (cvec, feas) in enumerate(zip(costs, feasible)):
+            k = t // step
+            if t % step == 0:
+                totals = np.bincount(decisions[:t] + 1, minlength=m + 1)[1:]
+                rows, solve, free = epoch_start(k, totals, mu, mu_init)
+                live = mu[rows]
+                flat = free if free.any() else None
+            mu_trace[t] = mu
+            if proxy_dec is None:
+                x = decisions[t] = proxy_assign(cvec, feas, mu[k] if price is None else price(mu, k))
+            else:  # live[0] is mu[k]: its decision is the implemented one
+                x = proxy_dec[t, rows] = proxy_assign(cvec, feas, live)
+                decisions[t] = x[0]
+            x_ind = consumed[x]
+            a = solve(live)
+            if flat is not None:
+                mask = flat & (live == 0.0)
+                if mask.any():
+                    a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
+            live[...] = ogd_update(live, a, x_ind, eta)
+            a_trace[t, rows] = a
+        mu_trace[T] = mu
     if shown is not None:
         mu_trace[~shown] = 0.0
     state, assignment = replay_decisions(instance, arrivals, decisions)

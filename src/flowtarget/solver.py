@@ -15,7 +15,8 @@ Four tools live here:
 * :func:`chain_prefix_argmin` -- exact minimizer of the coupled multi-epoch
   idealized-consumption objective for every deviation family, via a tiny
   dynamic program over prefix variables whose value-to-go functions are
-  convex piecewise quadratic.
+  convex piecewise quadratic; one call solves one chain, or a batch of
+  chains given as 2-D inputs (one resource column each, in the policies).
 * :func:`project_simplex` -- the sort-and-threshold Euclidean projection
   onto the probability simplex (Duchi et al., ICML 2008), shared by the
   Gumbel MLE's type mix and the dual backend's per-cell shares.
@@ -23,6 +24,7 @@ Four tools live here:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -157,6 +159,11 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
     float arrays or lists; lists are only read, so a caller can build the
     price-free ones once and reuse them across calls.
 
+    A batch of chains is solved in one call: 2-D inputs (arrays or lists of
+    lists) hold one chain per row, with ``curvature`` None or 2-D, and the
+    result holds one row of increments per chain, each equal bit for bit to
+    the 1-D call on that row.
+
     The backward pass builds the convex value-to-go functions as
     breakpoints plus a derivative ``c*s + e`` per segment, takes each
     stage's leftmost global argmin, and replaces the function by its
@@ -165,44 +172,67 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
     the argmin shift by -1 (``e`` becomes ``e + c``) and a flat segment of
     length 1 follows. Until a squared stage appears every segment has
     ``c = 0``, the derivatives ``e`` are nondecreasing and the argmin is
-    found by bisection. The forward pass clamps each stage's argmin into the
-    sliding feasibility window. Flat stretches resolve to their left end.
+    found by bisection. The lists are updated in place, stage by stage. The
+    forward pass clamps each stage's argmin into the sliding feasibility
+    window. Flat stretches resolve to their left end.
     """
     tau, d_plus, d_minus, nu = _floats(tau), _floats(d_plus), _floats(d_minus), _floats(nu)
     curv = _floats(curvature)
+    if tau and isinstance(tau[0], list):
+        if curv is None:
+            curv = [None] * len(tau)
+        return np.array([_chain(*row) for row in zip(tau, d_plus, d_minus, nu, curv)])
+    return np.array(_chain(tau, d_plus, d_minus, nu, curv))
+
+
+def _chain(tau, d_plus, d_minus, nu, curv) -> list:
+    """The increments of one chain of :func:`chain_prefix_argmin`, from lists."""
+    inf = math.inf
     R = len(tau)
     bp: list = []
     cs = None  # per-segment curvatures; None while every segment is linear
     es = [0.0]
     argmins = [0.0] * R
     for q in range(R - 1, -1, -1):
+        n = len(es)
         if curv is not None and curv[q] > 0.0:
             c_q = 2.0 * curv[q]
             e_q = nu[q] - c_q * tau[q]
-            cs = [c_q] * len(es) if cs is None else [c + c_q for c in cs]
-            es = [e + e_q for e in es]
+            if cs is None:
+                cs = [c_q] * n
+            else:
+                for i in range(n):
+                    cs[i] += c_q
+            for i in range(n):
+                es[i] += e_q
         elif d_plus[q] > 0.0 or d_minus[q] > 0.0:
             t = tau[q]
             p = bisect_left(bp, t)
-            if p == len(bp) or bp[p] != t:  # split segment p at the new kink
+            if p == n - 1 or bp[p] != t:  # split segment p at the new kink
                 bp.insert(p, t)
                 es.insert(p, es[p])
                 if cs is not None:
                     cs.insert(p, cs[p])
+                n += 1
             lo, hi = nu[q] - d_minus[q], nu[q] + d_plus[q]
-            es = [e + lo for e in es[: p + 1]] + [e + hi for e in es[p + 1:]]
+            for i in range(p + 1):
+                es[i] += lo
+            for i in range(p + 1, n):
+                es[i] += hi
         else:
-            es = [e + nu[q] for e in es]
-        last = len(bp)
+            e_q = nu[q]
+            for i in range(n):
+                es[i] += e_q
+        last = n - 1
         inside = False
         if cs is None:
             # the derivatives are nondecreasing: the argmin is the left end
             # of the first segment with e >= 0
             j = bisect_left(es, 0.0)
-            mstar = -np.inf if j == 0 else (np.inf if j > last else bp[j - 1])
+            mstar = -inf if j == 0 else (inf if j > last else bp[j - 1])
         else:  # leftmost argmin: in segment j, strictly inside or at its left end
-            mstar, j = np.inf, last
-            left = -np.inf
+            mstar, j = inf, last
+            left = -inf
             for jj, (c, e) in enumerate(zip(cs, es)):
                 if (e if c == 0.0 else c * left + e) >= 0.0:
                     mstar, j = left, jj
@@ -215,22 +245,30 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
                 if jj < last:
                     left = bp[jj]
         argmins[q] = mstar
-        if q == 0 or mstar == -np.inf:
+        if q == 0 or mstar == -inf:
             continue
         # window minimum: segments left of the argmin shift by -1 (e becomes
         # e + c, exactly e on linear segments) and a flat one follows; once a
         # squared stage is in, the last segment is curved, so only a linear
         # function decreases forever
-        if mstar == np.inf:
-            bp = [b - 1.0 for b in bp]
+        if mstar == inf:
+            for i in range(last):
+                bp[i] -= 1.0
         elif cs is None:
-            bp = [b - 1.0 for b in bp[:j]] + [mstar] + bp[j:]
+            for i in range(j):
+                bp[i] -= 1.0
+            bp.insert(j, mstar)
             es.insert(j, 0.0)
         else:
             k = j + inside  # segments left of the argmin, a split one included
-            bp = [b - 1.0 for b in bp[: k - 1]] + [mstar - 1.0, mstar] + bp[j:]
-            es = [e + c for c, e in zip(cs[:k], es[:k])] + [0.0] + es[j:]
-            cs = cs[:k] + [0.0] + cs[j:]
+            for i in range(k - 1):
+                bp[i] -= 1.0
+            bp[k - 1:j] = [mstar - 1.0, mstar]
+            tail = [0.0, es[j]] if inside else [0.0]
+            for i in range(k):
+                es[i] += cs[i]
+            es[k:k] = tail
+            cs[k:k] = [0.0, cs[j]] if inside else [0.0]
     a = []
     s_prev = 0.0
     for s in argmins:  # clamp into [s_prev, s_prev + 1], as min(max(s, lo), hi)
@@ -240,7 +278,7 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
             s = s_prev + 1.0
         a.append(s - s_prev)
         s_prev = s
-    return np.array(a)
+    return a
 
 
 def project_simplex(p: np.ndarray) -> np.ndarray:

@@ -207,6 +207,28 @@ def reference_chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None):
     return a
 
 
+def reference_chain_solve(instance, epoch, prior, duals):
+    """Frozen per-column copy of proxy-dgd's idealized-consumption solve as
+    it stood before its columns were batched: one DP call per resource,
+    curvature always passed, and each prefix price ``d_q - d_{q+1}`` taken
+    in Python floats. The DP is the frozen reference above."""
+    K = instance.K
+    grid = instance.dev_grid
+    x_units = prior * K / instance.T
+    weights = np.arange(epoch + 1, K + 1, dtype=float)
+    tau = weights[:, None] * instance.targets[epoch:] - x_units[None, :]
+    dp = grid.d_plus[epoch:]
+    dm = grid.d_minus[epoch:]
+    curv = np.where(grid.is_squared[epoch:], dp, 0.0) / weights[:, None]
+    table = list(zip(tau.T.tolist(), dp.T.tolist(), dm.T.tolist(), curv.T.tolist()))
+    a = np.empty(duals.shape)
+    for i, (col, column) in enumerate(zip(duals.T.tolist(), table)):
+        nu = [d - d_next for d, d_next in zip(col, col[1:])]
+        nu.append(col[-1])
+        a[:, i] = reference_chain_prefix_argmin(*(np.array(v) for v in (*column[:3], nu, column[3])))
+    return a
+
+
 def legacy_min_dev_plus_price(is_squared, target, d_plus, d_minus, price):
     """Frozen copy of the one-call deviation-plus-price minimizer that
     preceded the table/price split, kept as a bit-for-bit reference."""

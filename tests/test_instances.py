@@ -173,6 +173,27 @@ class TestIdealQuantities:
         with pytest.raises(ValueError, match=message):
             AggregateObservation.from_csv(str(path))
 
+    @pytest.mark.parametrize("rows, message", [
+        # used to load with an empty interval 2, which the MLE then fitted
+        (["1,0,3", "3,1,2"], r"interval 1, resource 1 has no row: every interval 1\.\.3 needs "
+                             r"one for each resource 0\.\.1"),
+        (["1,0,3", "1,1,2", "2,1,1", "2,0,1", "3,0,0"], r"interval 3, resource 1 has no row"),
+        (["1,0,3", "1,2,2", "2,0,1", "2,1,0", "2,2,1"], r"interval 1, resource 1 has no row"),
+    ])
+    def test_missing_rows_are_rejected_naming_the_first(self, tmp_path, rows, message):
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(["interval,resource,ideal_quantity"] + rows) + "\n")
+        with pytest.raises(ValueError, match=message):
+            AggregateObservation.from_csv(str(path))
+
+    def test_rows_in_any_order_load_as_written(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        rows = ["2,1,1", "1,1,2", "2,0,4", "1,0,3"]
+        path.write_text("\n".join(["interval,resource,ideal_quantity"] + rows) + "\n")
+        obs = AggregateObservation.from_csv(str(path))
+        np.testing.assert_array_equal(obs.counts, [[2], [1]])
+        np.testing.assert_array_equal(obs.arrivals, [5, 5])
+
 
 class TestMle:
     def test_soft_min_rates_bounded_by_rate(self):

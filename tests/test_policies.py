@@ -35,10 +35,10 @@ from flowtarget.instances import (
     zero_cost_two_target_instance,
 )
 from flowtarget.oracle import proxy_cost_decomposition
-from flowtarget.policies import POLICIES, myopic_epoch_targets
+from flowtarget.policies import PROXY_NA, POLICIES, _chain_solver, myopic_epoch_targets
 from flowtarget.solver import solve_box_convex
 
-from helpers import grid_minimize
+from helpers import grid_minimize, reference_chain_solve
 from test_harness import small_config
 from test_oracle import pinned_dual_problem
 
@@ -234,6 +234,23 @@ class TestIdealizedConsumption:
             assert got <= grid_minimize(lambda pts: np.array([f(x) for x in pts]), R, pts=9)[1] + tol
             assert got <= lbfgsb_objective(f, sub, R) + tol
 
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_batched_solve_matches_frozen_per_column_solve(self, squared):
+        draws = 0
+        for seed in range(60):
+            inst = random_instance(seed + 500, max_m=4, max_K=4, max_T=80, allow_squared=squared)
+            rng = np.random.default_rng(seed)
+            epoch = int(rng.integers(0, inst.K))
+            prior = np.floor(rng.uniform(0, epoch * inst.epoch_len + 1, size=inst.m))
+            solve = _chain_solver(inst, epoch, prior)
+            for _ in range(20):
+                duals = rng.uniform(-1.5, 1.5, size=(inst.K - epoch, inst.m))
+                duals[rng.random(duals.shape) < 0.2] = 0.0
+                want = reference_chain_solve(inst, epoch, prior, duals)
+                assert solve(duals).tobytes() == want.tobytes()
+                draws += 1
+        assert draws == 1200
+
     def test_squared_fallback_matches_grid(self):
         # the all-squared column once took a subgradient fallback; it is now exact
         targets = np.array([[0.3], [0.6]])
@@ -307,6 +324,16 @@ class TestProxyDualGd:
                 np.testing.assert_array_equal(r.mu_trace[t + 1, k:k_next], expected[:k_next - k])
             else:
                 np.testing.assert_array_equal(r.mu_trace[t + 1, k:], expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_implemented_decision_is_the_current_epochs_proxy(self, seed):
+        inst = random_instance(seed + 700, max_K=4, max_T=160, allow_squared=(seed % 2 == 1))
+        r = run_proxy_dual_gd(inst, sample_arrivals(inst, seed))
+        t = np.arange(inst.T)
+        np.testing.assert_array_equal(r.decisions, r.proxy_decisions[t, t // inst.epoch_len])
+        past = np.arange(inst.K)[None, :] < (t // inst.epoch_len)[:, None]
+        assert np.all(r.proxy_decisions[past] == PROXY_NA)
+        assert np.all(r.proxy_decisions[~past] >= REJECT)
 
     def test_feasibility_and_determinism(self):
         inst = random_instance(13, max_T=160)
@@ -458,6 +485,36 @@ class TestGreedy:
             choices = [k for k, v in opts.items() if v == best]
             want = min(c for c in choices if c != REJECT) if any(c != REJECT for c in choices) else REJECT
             assert r.decisions[t] == want
+
+    @pytest.mark.parametrize("case", ["typed", "continuous"])
+    def test_one_pass_equals_per_period_proxy_assign(self, case):
+        # ties, zero costs and infeasible cells, including a type with no
+        # feasible resource; the reference prices every period at zero
+        rng = np.random.default_rng(3)
+        targets = np.full((2, 4), 0.25)
+        dev = uniform_dev_costs(targets, "absolute", 1.0)
+        if case == "typed":
+            costs = rng.choice([-0.5, -0.25, 0.0, 0.25], size=(6, 4))
+            feasible = rng.random((6, 4)) < 0.7
+            feasible[5] = False
+            inst = Instance(costs=costs, feasible=feasible, probs=np.full(6, 1 / 6), epochs=2,
+                            horizon=400, targets=targets, dev_costs=dev)
+            omega = ArrivalSequence(types=rng.integers(0, 6, size=400))
+            assert {0.0, -0.5}.issubset(set(costs[feasible]))
+        else:
+            inst = Instance(costs=np.zeros((0, 4)), feasible=np.zeros((0, 4), dtype=bool),
+                            probs=None, epochs=2, horizon=400, targets=targets, dev_costs=dev,
+                            continuous=True)
+            cvecs = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25], size=(400, 4))
+            cvecs[::20] = 0.25
+            omega = ArrivalSequence(cost_vectors=cvecs)
+        r = run_greedy(inst, omega)
+        cvecs, feas = omega.per_period(inst)
+        want = [proxy_assign(c, f, np.zeros(4)) for c, f in zip(cvecs, feas)]
+        assert r.decisions.dtype == np.int16
+        np.testing.assert_array_equal(r.decisions, want)
+        assert REJECT in want and len(set(want)) > 2
+        assert not r.mu_trace.any() and not r.a_trace.any()
 
 
 def pinned_policy_problem(kind):

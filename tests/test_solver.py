@@ -299,3 +299,54 @@ class TestChainPrefixArgmin:
         a = chain_prefix_argmin(np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                                 np.zeros(2), np.array([0.0, 1.0]))
         np.testing.assert_array_equal(a, [0.5, 0.0])
+
+
+BATCH_KINDS = ["absolute", "under_over", "zero", "squared", "coinciding"]
+
+
+def random_batch(rng, kind, rows, R):
+    """``rows`` chains of ``R`` stages as 2-D arrays, one chain per row:
+    absolute kinks (d+ = d-), one-sided under/over kinks, stages with no
+    weight, squared stages, or kinks drawn from three points."""
+    shape = (rows, R)
+    tau = rng.uniform(-0.5, R + 0.5, size=shape)
+    dp = rng.uniform(0.1, 3.0, size=shape)
+    dm = dp.copy() if kind in ("absolute", "coinciding") else rng.uniform(0.1, 3.0, size=shape)
+    nu = rng.uniform(-1.5, 1.5, size=shape)
+    curv = np.zeros(shape)
+    if kind == "under_over":
+        one_sided = rng.random(shape) < 0.5
+        dp[one_sided] = 0.0
+        dm[~one_sided & (rng.random(shape) < 0.5)] = 0.0
+    elif kind == "zero":
+        idle = rng.random(shape) < 0.4
+        dp[idle] = dm[idle] = 0.0
+    elif kind == "squared":
+        sq = rng.random(shape) < 0.5
+        curv[sq] = rng.uniform(0.05, 3.0, size=int(sq.sum()))
+    elif kind == "coinciding":
+        tau = rng.choice([0.0, 0.5, 1.0], size=shape)
+        nu = np.round(nu, 1)
+    return tau, dp, dm, nu, curv
+
+
+class TestChainBatch:
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_batch_equals_row_by_row_bit_for_bit(self, kind, R):
+        rng = np.random.default_rng(BATCH_KINDS.index(kind) * 10 + R)
+        for _ in range(300):
+            rows = int(rng.integers(1, 5))
+            tau, dp, dm, nu, curv = random_batch(rng, kind, rows, R)
+            got = chain_prefix_argmin(tau, dp, dm, nu, curv)
+            assert got.shape == (rows, R)
+            want = np.array([chain_prefix_argmin(*row) for row in zip(tau, dp, dm, nu, curv)])
+            assert got.tobytes() == want.tobytes()
+            lists = [v.tolist() for v in (tau, dp, dm, nu, curv)]
+            assert chain_prefix_argmin(*lists).tobytes() == want.tobytes()
+            if kind != "squared":  # no squared stage: None and all zeros agree
+                assert chain_prefix_argmin(tau, dp, dm, nu).tobytes() == want.tobytes()
+                assert chain_prefix_argmin(*lists[:4], None).tobytes() == want.tobytes()
+                for row, w in zip(zip(tau, dp, dm, nu), want):
+                    assert legacy_chain_prefix_argmin(*row).tobytes() == w.tobytes()
+
