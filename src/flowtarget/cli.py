@@ -68,9 +68,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out")
 
 
+def _finite_nonnegative(text: str) -> float:
+    """A flag's float value, rejected unless finite and nonnegative."""
+    try:
+        if 0.0 <= float(text) < np.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text!r}")
+
+
 def _add_oracle(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle-backend", default=EXACT_LP, choices=[EXACT_LP, DUAL_SUBGRADIENT])
-    p.add_argument("--gap-tol", type=float, default=1e-6,
+    p.add_argument("--gap-tol", type=_finite_nonnegative, default=1e-6,
                    help="largest accepted certified oracle gap; the dual-subgradient bound "
                         "certificate's gap usually exceeds the default, which flags rows and exits 2")
 
@@ -209,13 +219,11 @@ def _cmd_oracle(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "offline_consumption.csv")
     cons = sol.consumption_by_epoch()
+    avg = cons / instance.epoch_periods[:, None]
     with open(path, "w") as fh:
         fh.write("epoch,resource,consumption,running_avg,target\n")
-        for k in range(instance.K):
-            for i in range(instance.m):
-                periods = (k + 1) * instance.epoch_len
-                fh.write(f"{k + 1},{i + 1},{cons[k, i]:.10g},"
-                         f"{cons[k, i] / periods:.10g},{instance.targets[k, i]:.10g}\n")
+        for (k, i), c in np.ndenumerate(cons):
+            fh.write(f"{k + 1},{i + 1},{c:.10g},{avg[k, i]:.10g},{instance.targets[k, i]:.10g}\n")
     print(f"wrote {path}")
     return 0 if sol.gap <= args.gap_tol else 2
 

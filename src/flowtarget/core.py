@@ -11,6 +11,8 @@ All types here are immutable after construction and safe to share across
 parallel workers, except the :class:`ConsumptionState` a replay returns. A
 run is accounted in one place: the checked, vectorized per-period ledger of
 its decisions behind :func:`replay_decisions` and :func:`export_trace_csv`.
+Every module charges deviation through :attr:`Instance.epoch_periods`,
+:meth:`DevGrid.charge` and :func:`deviation_charge`.
 """
 
 from __future__ import annotations
@@ -212,6 +214,11 @@ class DevGrid:
             return pl
         return np.where(self.is_squared, 2.0 * self.d_plus * gap, pl)
 
+    def charge(self, periods: np.ndarray, avg: np.ndarray):
+        """``sum_ki periods_k * g_ki(avg_ki)`` of a (K, m) grid of running
+        averages, or one such total per grid of a stack ``(S, K, m)``."""
+        return (periods[:, None] * self.evaluate(avg)).sum(axis=(-2, -1))
+
 
 def integer_array(values, name: str) -> np.ndarray:
     """``values`` as int64; a ValueError naming ``name`` unless every entry is a finite integer."""
@@ -332,6 +339,11 @@ class Instance:
     @cached_property
     def dev_grid(self) -> DevGrid:
         return DevGrid.from_costs(self.dev_costs)
+
+    @cached_property
+    def epoch_periods(self) -> np.ndarray:
+        """The read-only (K,) float period counts ``(k + 1) T / K`` at the epoch ends."""
+        return _readonly(np.arange(1, self.K + 1) * float(self.epoch_len))
 
     def feasible_set(self, j: int) -> np.ndarray:
         """Resource indices available to type ``j``."""
@@ -499,15 +511,14 @@ class ConsumptionState:
     """Assignment counts of one run, as :func:`replay_decisions` returns them.
 
     Holds ``by_type[j, i]`` (assignments of type j to resource i), per-resource
-    totals, per-type arrival counts, and per-resource snapshots taken at each
-    epoch end.
+    totals, per-type arrival counts, and the (K, m) totals at each epoch end.
     """
 
     def __init__(self, n: int, m: int):
         self.by_type = np.zeros((max(n, 1), m), dtype=np.int64)
         self.totals = np.zeros(m, dtype=np.int64)
         self.arrivals = np.zeros(max(n, 1), dtype=np.int64)
-        self.snapshots: list[np.ndarray] = []
+        self.snapshots = np.zeros((0, m), dtype=np.int64)
 
     def check(self) -> None:
         if np.any(self.by_type < 0) or np.any(self.by_type.sum(axis=1) > self.arrivals):
@@ -574,8 +585,7 @@ def replay_decisions(instance: Instance, arrivals: ArrivalSequence,
     state = ConsumptionState(instance.n, instance.m)
     state.by_type, state.totals = by_type, running[-1].copy()
     state.arrivals = arrivals.type_counts(instance) if arrivals.types is not None else np.array([instance.T])
-    step = instance.epoch_len
-    state.snapshots = list(running[step - 1::step].copy())
+    state.snapshots = running[instance.epoch_len - 1::instance.epoch_len].copy()
     return state, float(np.add.accumulate(costs)[-1])
 
 
@@ -583,41 +593,33 @@ def total_cost(instance: Instance, state: ConsumptionState,
                assignment_cost: float | None = None) -> tuple[float, float, float]:
     """Assignment + scaled deviation cost of a completed run.
 
-    The deviation part charges ``(kT/K) * g_ki(Z_i(kT/K) / (kT/K))`` for each
-    epoch ``k`` and resource ``i`` from the recorded epoch-end snapshots (see
-    :func:`deviation_cost_from_snapshots`); each running average must lie in
-    [0, 1]. In discrete mode the assignment part is recomputed from
+    The deviation part is :func:`deviation_charge` of the recorded epoch-end
+    snapshots. In discrete mode the assignment part is recomputed from
     ``state.by_type``; continuous mode must pass the realized
     ``assignment_cost``.
 
     Returns ``(assignment, deviation, total)``.
     """
-    K = instance.K
-    if len(state.snapshots) != K:
-        raise ValueError(f"expected {K} epoch snapshots, found {len(state.snapshots)}")
     if assignment_cost is None:
         if instance.continuous:
             raise ValueError("continuous-cost mode requires the realized assignment cost")
         assignment_cost = float(np.sum(instance.costs * state.by_type))
-    deviation, avg = _deviation_and_rates(instance, state.snapshots)
+    deviation = deviation_charge(instance, state.snapshots)[0]
+    return float(assignment_cost), deviation, float(assignment_cost) + deviation
+
+
+def deviation_charge(instance: Instance, snapshots) -> tuple[float, np.ndarray]:
+    """The deviation cost ``sum_ki P_k g_ki(Z_ki / P_k)`` of the (K, m) epoch-end
+    totals ``Z`` (``P_k = kT/K``), and the running averages, each in [0, 1]."""
+    periods, avg = instance.epoch_periods, np.asarray(snapshots, dtype=float)
+    if avg.shape != (instance.K, instance.m):
+        raise ValueError(f"expected epoch snapshots of shape {(instance.K, instance.m)}, got {avg.shape}")
+    avg = avg / periods[:, None]
     outside = ~((avg >= -_DOMAIN_TOL) & (avg <= 1.0 + _DOMAIN_TOL))
     if outside.any():
         k, i = np.argwhere(outside)[0]
         raise ValueError(f"consumption rate {avg[k, i]} outside [0, 1] at epoch {k}, resource {i}")
-    return float(assignment_cost), deviation, float(assignment_cost) + deviation
-
-
-def deviation_cost_from_snapshots(instance: Instance, snapshots: np.ndarray) -> float:
-    """Scaled deviation cost from a (K, m) array of epoch-end consumption totals."""
-    return _deviation_and_rates(instance, snapshots)[0]
-
-
-def _deviation_and_rates(instance: Instance, snapshots) -> tuple[float, np.ndarray]:
-    """The scaled deviation cost of the epoch-end ``snapshots`` and the
-    (K, m) running averages it charges."""
-    periods = (np.arange(1, instance.K + 1) * instance.epoch_len).astype(float)
-    avg = np.asarray(snapshots, dtype=float) / periods[:, None]
-    return float((periods[:, None] * instance.dev_grid.evaluate(avg)).sum()), avg
+    return float(instance.dev_grid.charge(periods, avg)), avg
 
 
 def export_trace_csv(path: str, instance: Instance, arrivals: ArrivalSequence,
@@ -630,19 +632,18 @@ def export_trace_csv(path: str, instance: Instance, arrivals: ArrivalSequence,
     charges of epochs already closed). t, epoch and type are 1-based in the
     file; decision 0 means reject and ``i`` means resource ``i`` (1-based).
     """
-    T, K, m = instance.T, instance.K, instance.m
-    step = T // K
+    T, K, m, step = instance.T, instance.K, instance.m, instance.epoch_len
     header = ["t", "epoch", "type", "decision"]
     header += [f"mu_{k + 1}_{i + 1}" for k in range(K) for i in range(m)]
     header += [f"running_avg_{i + 1}" for i in range(m)]
     header += ["cost_so_far"]
     costs, running, _ = _ledger(instance, arrivals, run_result.decisions)
-    # each epoch end adds its deviation charge right after that period's cost
-    periods = np.arange(1, K + 1) * step
+    # each epoch end adds its deviation charge, summed left to right, after that period's cost
+    periods = instance.epoch_periods
     charges = instance.dev_grid.evaluate(running[step - 1::step] / periods[:, None])
     charges = periods * np.add.accumulate(charges, axis=1)[:, -1]
     ts = np.arange(T)
-    so_far = np.add.accumulate(np.insert(costs, periods, charges))[ts + (ts + 1) // step]
+    so_far = np.add.accumulate(np.insert(costs, periods.astype(np.int64), charges))[ts + (ts + 1) // step]
     values = np.hstack([run_result.mu_trace[:T].reshape(T, K * m), running / (ts + 1)[:, None],
                         so_far[:, None]])
     types = arrivals.types.tolist() if arrivals.types is not None else [-1] * T

@@ -48,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        if not 0.0 <= self.gap_tol < np.inf:
+            raise ValueError(f"gap_tol must be finite and nonnegative, got {self.gap_tol}")
         for name in self.policies:
             if name not in POLICIES:
                 raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICIES)}")

@@ -170,13 +170,15 @@ class GumbelCostModel:
     def __post_init__(self) -> None:
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
         object.__setattr__(self, "locations", loc)
+        if not np.all(np.isfinite(loc)):
+            raise ValueError("locations must be finite")
         p = np.ones(loc.shape[0]) / loc.shape[0] if self.probs is None \
             else np.asarray(self.probs, dtype=float)
         if p.shape != (loc.shape[0],) or abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
             raise ValueError("probs must be a distribution over the rows of locations")
         object.__setattr__(self, "probs", p)
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (np.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     @property
     def n(self) -> int:
@@ -278,6 +280,8 @@ class AggregateObservation:
                     raise ValueError(f"line {lineno}: interval {t}, resource {i} appears twice")
                 rows[(t - 1, i)] = q
                 m_max = max(m_max, i)
+        if not rows:
+            raise ValueError(f"{path}: the file has a header but no rows")
         n_int = max(t for t, _ in rows) + 1
         counts = np.zeros((n_int, m_max), dtype=np.int64)
         arrivals = np.zeros(n_int, dtype=np.int64)
@@ -438,8 +442,8 @@ class NonstatProfile:
     def __post_init__(self) -> None:
         fr = np.asarray(self.fractions, dtype=float)
         object.__setattr__(self, "fractions", fr)
-        if np.any(fr <= 0) or abs(fr.sum() - 1.0) > 1e-9:
-            raise ValueError("fractions must be positive and sum to 1")
+        if fr.ndim != 1 or not np.all(fr > 0) or abs(fr.sum() - 1.0) > 1e-9:  # NaN fails fr > 0
+            raise ValueError(f"fractions must be a 1-D array of positive values that sum to 1, got {fr.tolist()}")
         if self.mode not in ("per-arrival", "per-period"):
             raise ValueError("mode must be per-arrival or per-period")
 

@@ -24,7 +24,8 @@ array are built once per solve, so each dual step only prices them, and
 the bookkeeping that no step reads (dual values, the best multipliers, the
 primal values) runs over blocks of :data:`DUAL_BLOCK` steps. A
 brute-force enumerator over integral assignment sequences serves as the
-test oracle on tiny instances.
+test oracle on tiny instances. Every deviation charge here is
+:meth:`~flowtarget.core.DevGrid.charge`, at ``core``'s epoch-end periods.
 """
 
 from __future__ import annotations
@@ -117,12 +118,6 @@ def _window_problem(instance: Instance, omega: ArrivalSequence | np.ndarray,
     return costs, feas, caps
 
 
-def _dev_rows(instance: Instance, window: list[int]):
-    """The window's deviation grid and its per-epoch period counts."""
-    rows = np.asarray(window, dtype=int)
-    return instance.dev_grid.rows(rows), (rows + 1).astype(float) * instance.epoch_len
-
-
 def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     """Epigraph LP over the window; piecewise-linear families only.
 
@@ -134,7 +129,7 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     ``u >= d- (target - avg)``; a zero-weight side degenerates to
     ``u >= 0``, which keeps one-sided penalties exact.
     """
-    grid, dens = _dev_rows(instance, window)
+    grid, dens = instance.dev_grid.rows(window), instance.epoch_periods[window]
     if grid.has_squared:
         raise UnsupportedFamilyError("exact-lp supports only piecewise-linear deviation families")
     n_eff, m = costs.shape
@@ -144,7 +139,7 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
     n_z, n_u = len(jj), len(pw)
     if n_z + n_u == 0:
         # Nothing to decide: no assignable arrivals and no penalties.
-        base = float((dens[:, None] * grid.evaluate(prior[None, :] / dens[:, None])).sum())
+        base = float(grid.charge(dens, prior[None, :] / dens[:, None]))
         return base, np.zeros((n_eff, m, instance.K))
 
     cells, avail_row = np.unique(jj * W + ww, return_inverse=True)
@@ -220,7 +215,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     row, which numpy groups as it groups the one step's array, so every
     output keeps its bits.
     """
-    grid, dens = _dev_rows(instance, window)
+    grid, dens = instance.dev_grid.rows(window), instance.epoch_periods[window]
     n_eff, m = costs.shape
     W = len(window)
     dens_col = dens[:, None]
@@ -251,16 +246,13 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
             cell_values = buf
         return cell_values.reshape(steps, -1).sum(axis=1)
 
-    def row_sums(values):
-        return values.reshape(len(values), -1).sum(axis=1)
-
     def averages(counts):
         per_epoch = np.bincount(cell_bins, weights=counts.ravel(), minlength=W * m)
         return (prior + per_epoch.reshape(W, m).cumsum(axis=0)) / dens_col
 
     def counts_values(counts, avgs):
         """Objective of stacked counts and their averages."""
-        return full_sums(counts * cost_c, full_buf) + row_sums(dens_col * grid.evaluate(avgs))
+        return full_sums(counts * cost_c, full_buf) + grid.charge(dens, avgs)
 
     def counts_value(counts):
         return float(counts_values(counts[None], averages(counts)[None])[0])
@@ -305,8 +297,8 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
 
             mus, a_stars, best_is, best_vs, tooks = map(np.array, zip(*block))
             duals = full_sums(caps_c * np.where(best_vs <= 0.0, best_vs, 0.0), value_buf) \
-                + row_sums(dens_col * (grid.evaluate(a_stars) + mus * a_stars)) \
-                - row_sums(mus * prior)
+                + (dens_col * (grid.evaluate(a_stars) + mus * a_stars)).sum(axis=(1, 2)) \
+                - (mus * prior).sum(axis=(1, 2))
             for k, dual in enumerate(duals.tolist()):
                 if dual > best_dual:
                     best_dual, best_mu = dual, mus[k]
@@ -475,11 +467,8 @@ def brute_force_offline(instance: Instance, omega: ArrivalSequence,
         opt_costs.append(np.asarray([0.0] + [float(instance.costs[j, i]) for i in opts[1:]]))
     bases = np.asarray([len(o) for o in options], dtype=np.int64)
     total = int(np.prod(bases))
-    strides = np.ones(T, dtype=np.int64)
-    for t in range(T - 2, -1, -1):
-        strides[t] = strides[t + 1] * bases[t + 1]
-    grid = instance.dev_grid
-    dens = (np.arange(1, K + 1) * step).astype(float)
+    strides = np.append(np.cumprod(bases[:0:-1])[::-1], 1)  # strides[t] = prod(bases[t + 1:])
+    periods = instance.epoch_periods
     best_val = np.inf
     best_dec = None
     for start in range(0, total, block):
@@ -490,13 +479,8 @@ def brute_force_offline(instance: Instance, omega: ArrivalSequence,
             digit = (ids // strides[t]) % bases[t]
             dec[:, t] = options[t][digit]
             cost += opt_costs[t][digit]
-        cum = np.zeros((len(ids), K, m))
-        for k in range(K):
-            upto = dec[:, : (k + 1) * step]
-            for i in range(m):
-                cum[:, k, i] = (upto == i).sum(axis=1)
-        dev = grid.evaluate(cum / dens[None, :, None])
-        vals = cost + (dens[None, :, None] * dev).sum(axis=(1, 2))
+        cum = (dec[:, :, None] == np.arange(m)).cumsum(axis=1, dtype=np.int16)[:, step - 1::step]
+        vals = cost + instance.dev_grid.charge(periods, cum / periods[:, None])
         idx = int(np.argmin(vals))
         if vals[idx] < best_val:
             best_val = float(vals[idx])
@@ -553,9 +537,9 @@ def _left_sum(values: np.ndarray) -> float:
 def _proxy_deviation(instance: Instance, z: np.ndarray, counts: np.ndarray, first: int) -> float:
     """Deviation penalties of epochs ``first..K-1`` when the per-epoch proxy
     ``counts`` are implemented on top of the consumption ``z``."""
-    dens = (np.arange(first + 1, instance.K + 1) * instance.epoch_len).astype(float)
-    avg = (z + np.cumsum(counts, axis=0)) / dens[:, None]
-    return float((dens[:, None] * instance.dev_grid.rows(slice(first, None)).evaluate(avg)).sum())
+    periods = instance.epoch_periods[first:]
+    avg = (z + np.cumsum(counts, axis=0)) / periods[:, None]
+    return float(instance.dev_grid.rows(slice(first, None)).charge(periods, avg))
 
 
 def cumulative_proxy_cost(instance: Instance, result, epoch: int) -> float:

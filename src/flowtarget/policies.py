@@ -9,9 +9,11 @@ the :class:`PolicyConfig`, takes the proxy decisions of later epochs when
 the policy records them, and takes every OGD step. A policy supplies only
 an epoch-start hook (its live price rows, their idealized-consumption solve
 and their penalty-free coordinates) and its assignment price row. The
-run's totals, per-type counts, epoch snapshots and costs are accounted
-once, after the loop, from the decisions by
-:func:`flowtarget.core.replay_decisions` and :func:`flowtarget.core.total_cost`.
+run's totals, per-type counts and epoch snapshots are accounted once,
+after the loop, from the decisions by
+:func:`flowtarget.core.replay_decisions`, and its deviation cost and
+running averages come from one call of
+:func:`flowtarget.core.deviation_charge`.
 
 The policies are:
 
@@ -48,8 +50,8 @@ from .core import (
     ArrivalSequence,
     Instance,
     check_prior,
+    deviation_charge,
     replay_decisions,
-    total_cost,
 )
 from .solver import chain_prefix_argmin, dev_price_table, min_dev_plus_price
 from .solver import solve_box_convex  # noqa: F401 -- perfbench's tracer wraps this name here
@@ -237,8 +239,7 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     from the decisions.
     """
     arrivals.validate_for(instance)
-    T, K, m = instance.T, instance.K, instance.m
-    step = instance.epoch_len
+    T, K, m, step = instance.T, instance.K, instance.m, instance.epoch_len
     costs, feasible = arrivals.per_period(instance)
     mu_trace = np.zeros((T + 1, K, m))
     a_trace = np.zeros((T, K, m))
@@ -277,9 +278,7 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     if shown is not None:
         mu_trace[~shown] = 0.0
     state, assignment = replay_decisions(instance, arrivals, decisions)
-    assignment, deviation, total = total_cost(instance, state, assignment)
-    snapshots = np.array(state.snapshots)
-    running = snapshots / (np.arange(1, K + 1) * step)[:, None]
+    deviation, running = deviation_charge(instance, state.snapshots)
     return RunResult(
         policy=policy,
         eta=eta,
@@ -288,11 +287,11 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
         mu_trace=mu_trace,
         a_trace=a_trace,
         proxy_decisions=proxy_dec,
-        epoch_consumption=snapshots,
+        epoch_consumption=state.snapshots,
         by_type_final=state.by_type,
         assignment_cost=assignment,
         deviation_cost=deviation,
-        total_cost=total,
+        total_cost=assignment + deviation,
         running_avg=running,
         abs_deviation=np.abs(running - instance.targets),
     )

@@ -15,7 +15,7 @@ from flowtarget import (
     total_cost,
     uniform_dev_costs,
 )
-from flowtarget.core import export_trace_csv
+from flowtarget.core import deviation_charge, export_trace_csv
 from flowtarget.instances import (
     NonstatProfile,
     SyntheticParams,
@@ -176,6 +176,34 @@ class TestTotalCost:
         state.by_type[:] += 0  # composition untouched; snapshots identical
         _, dev_b, _ = total_cost(inst, state)
         assert dev_a == dev_b
+
+
+class TestDeviationCharge:
+    def test_epoch_periods(self):
+        inst = random_instance(4, max_K=4, max_T=60)
+        want = [(k + 1) * inst.T // inst.K for k in range(inst.K)]
+        assert inst.epoch_periods.dtype == float and inst.epoch_periods.tolist() == want
+        with pytest.raises(ValueError, match="read-only"):
+            inst.epoch_periods[0] = 1.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_charge_of_a_stack_matches_each_row(self, seed):
+        inst = random_instance(seed, max_K=4, max_T=60, allow_squared=(seed % 2 == 0))
+        stack = np.random.default_rng(seed).uniform(size=(7, inst.K, inst.m))
+        periods, grid = inst.epoch_periods, inst.dev_grid
+        got = grid.charge(periods, stack)
+        assert got.shape == (7,)
+        assert got.tolist() == [float(grid.charge(periods, avg)) for avg in stack]
+        assert got.tolist() == [float((periods[:, None] * grid.evaluate(avg)).sum()) for avg in stack]
+
+    def test_matches_total_cost_and_replay(self):
+        inst = random_instance(6, max_K=3, max_T=60, allow_squared=True)
+        omega = sample_arrivals(inst, 6)
+        state, assignment = replay_decisions(inst, omega, run_greedy(inst, omega).decisions)
+        assert state.snapshots.shape == (inst.K, inst.m) and state.snapshots.dtype == np.int64
+        deviation, avg = deviation_charge(inst, state.snapshots)
+        assert deviation == total_cost(inst, state, assignment)[1]
+        np.testing.assert_array_equal(avg, state.snapshots / inst.epoch_periods[:, None])
 
 
 def two_type_problem():

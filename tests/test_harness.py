@@ -149,6 +149,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown policy"):
             small_config(policies=("bogus",))
 
+    @pytest.mark.parametrize("gap_tol", [float("nan"), float("inf"), -1e-6])
+    def test_gap_tol_must_be_finite_and_nonnegative(self, gap_tol):
+        # a NaN tolerance used to flag nothing, since gap > nan is False
+        with pytest.raises(ValueError, match="gap_tol must be finite and nonnegative"):
+            small_config(gap_tol=gap_tol)
+
     def test_horizons_truncated_to_epoch_multiples(self):
         with pytest.warns(UserWarning, match="truncating"):
             cfg = small_config(T_values=(31, 60))
@@ -211,6 +217,17 @@ class TestCli:
                          "--iters", "500", "--out", str(tmp_path)])
         assert code == 0
         assert "locations=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["run", "--instance", "i.json"], ["sweep"],
+                                      ["oracle", "--instance", "i.json", "--omega", "o.json"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+    def test_gap_tol_rejected_unless_finite_and_nonnegative(self, argv, value, capsys):
+        # a NaN --gap-tol used to exit 0 from run, 2 from oracle and flag
+        # nothing in sweep
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--gap-tol", value])
+        assert exc.value.code == 2
+        assert f"--gap-tol: must be a finite, nonnegative number, got '{value}'" in capsys.readouterr().err
 
     def test_config_file_mirrors_flags(self, tmp_path):
         import json

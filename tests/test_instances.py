@@ -110,6 +110,20 @@ class TestArrivalSampling:
         assert np.mean(~assigned) == pytest.approx(1.0 - w.sum(), abs=0.02)
 
 
+class TestGumbelModelValidation:
+    # a NaN or infinite rate or a NaN location used to be accepted, and the
+    # sampled cost vectors were then NaN
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            GumbelCostModel(locations=np.array([[0.1, -0.4]]), rate=rate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_locations_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="locations must be finite"):
+            GumbelCostModel(locations=np.array([[0.1, bad]]), rate=3.0)
+
+
 class TestIdealQuantities:
     def test_all_positive_costs_count_nothing(self):
         cv = np.full((10, 3), 0.5)
@@ -184,6 +198,13 @@ class TestIdealQuantities:
         path = tmp_path / "obs.csv"
         path.write_text("\n".join(["interval,resource,ideal_quantity"] + rows) + "\n")
         with pytest.raises(ValueError, match=message):
+            AggregateObservation.from_csv(str(path))
+
+    def test_header_only_file_names_the_path(self, tmp_path):
+        # used to fail with "max() arg is an empty sequence"
+        path = tmp_path / "obs.csv"
+        path.write_text("interval,resource,ideal_quantity\n")
+        with pytest.raises(ValueError, match=r"obs\.csv: the file has a header but no rows"):
             AggregateObservation.from_csv(str(path))
 
     def test_rows_in_any_order_load_as_written(self, tmp_path):
@@ -391,6 +412,12 @@ class TestNonstationary:
             NonstatProfile(np.array([1 / 3, 2 / 3])).counts(10)
         with pytest.raises(ValueError, match="per-arrival or per-period"):
             NonstatProfile(np.array([0.5, 0.5]), mode="sideways")
+
+    @pytest.mark.parametrize("fractions", [[np.nan, 1.0], [np.inf, 0.5], [[0.5, 0.5]], 1.0])
+    def test_profile_rejects_non_finite_or_non_vector_fractions(self, fractions):
+        # [nan, 1.0] used to be accepted, and counts(T) then said "must be integral"
+        with pytest.raises(ValueError, match="fractions must be a 1-D array of positive values that sum to 1"):
+            NonstatProfile(np.array(fractions))
 
     def test_quarter_half_quarter_example(self):
         inst = random_instance(1, max_m=2, max_n=2, max_K=1, max_T=1)

@@ -24,7 +24,7 @@ from flowtarget import (
     run_single_epoch_dgd,
     uniform_dev_costs,
 )
-from flowtarget.core import REJECT, export_trace_csv
+from flowtarget.core import REJECT, export_trace_csv, replay_decisions, total_cost
 from flowtarget.harness import epoch_acceptance_fraction, run_experiment
 from flowtarget.instances import (
     SyntheticParams,
@@ -624,6 +624,17 @@ class TestPoliciesPinned:
         r = POLICIES[policy](inst, omega, cfg)
         got = (run_digest(inst, omega, r, tmp_path), r.assignment_cost, r.deviation_cost, r.total_cost)
         assert got == self.PINNED[kind, policy]
+
+    @pytest.mark.parametrize("kind, policy", pinned_cases())
+    def test_costs_match_a_replay_of_the_decisions(self, kind, policy):
+        # the kernel charges through core.deviation_charge, not total_cost
+        inst, omega, cfg = pinned_policy_problem(kind)
+        r = POLICIES[policy](inst, omega, cfg)
+        state, assignment = replay_decisions(inst, omega, r.decisions)
+        assert (r.assignment_cost, r.deviation_cost, r.total_cost) == total_cost(inst, state, assignment)
+        running = state.snapshots / (np.arange(1, inst.K + 1) * inst.epoch_len)[:, None]
+        np.testing.assert_array_equal(r.running_avg, running)
+        np.testing.assert_array_equal(r.epoch_consumption, state.snapshots)
 
     # SHA-256 of replications.csv from the harness tests' small config
     REPLICATIONS = "bb7131ccd07c3cd024b36051360e7dbb78b5bc80424951a8c9b6e9b05734423d"
