@@ -50,16 +50,53 @@ from .policies import POLICIES, PolicyConfig
 
 def _apply_config_file(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
     """Fill flags left at their defaults from the ``--config`` JSON object;
-    ``command`` is the subcommand's parser, whose defaults decide that."""
+    ``command`` is the subcommand's parser, whose defaults decide that. Every
+    value is checked as the flag's own would be (:func:`_config_value`); a
+    bad one exits 2 with the flag's message."""
     if getattr(args, "config", None) is None:
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
+    actions = {action.dest: action for action in command._actions}
     for key, value in overrides.items():
         if not hasattr(args, key):
             raise SystemExit(f"config file key {key!r} is not a flag of {args.command!r}")
+        try:
+            value = _config_value(actions[key], value)
+        except argparse.ArgumentError as exc:
+            command.error(str(exc))
         if getattr(args, key) == command.get_default(key):
             setattr(args, key, value)
+
+
+def _config_value(action: argparse.Action, value):
+    """A ``--config`` value passed through its flag's ``type`` (element by
+    element for a flag that takes a list) and checked against its
+    ``choices``, raising the ``ArgumentError`` the command line would."""
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise argparse.ArgumentError(action, f"expected true or false, got {value!r}")
+        return value
+    many = action.nargs not in (None, "?")
+    if many != isinstance(value, list):
+        raise argparse.ArgumentError(action, f"expected {'a list' if many else 'one value'}, got {value!r}")
+    convert = action.type or str
+    out = []
+    for item in value if many else [value]:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise argparse.ArgumentError(action, f"expected a number or a string, got {item!r}")
+        try:
+            item = convert(str(item))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(action, str(exc)) from None
+        except (TypeError, ValueError):
+            raise argparse.ArgumentError(
+                action, f"invalid {getattr(convert, '__name__', 'value')} value: {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {item!r} (choose from {', '.join(map(repr, action.choices))})")
+        out.append(item)
+    return out if many else out[0]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -76,6 +113,16 @@ def _finite_nonnegative(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text!r}")
+
+
+def _nonnegative_int(text: str) -> int:
+    """A flag's integer value, rejected when negative."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
 
 
 def _add_oracle(p: argparse.ArgumentParser) -> None:
@@ -118,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--eta-mult", type=float, default=1.0)
     _add_oracle(p)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=_nonnegative_int, default=0, help="0 = one per CPU")
     p.add_argument("--scaling-report", action="store_true",
                    help="print the regret-vs-T report after the sweep")
 

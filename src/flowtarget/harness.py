@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if not 0.0 <= self.gap_tol < np.inf:
             raise ValueError(f"gap_tol must be finite and nonnegative, got {self.gap_tol}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be nonnegative (0 = one per CPU), got {self.workers}")
         for name in self.policies:
             if name not in POLICIES:
                 raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICIES)}")

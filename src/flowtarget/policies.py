@@ -8,9 +8,12 @@ consumption, take an OGD step on the prices -- and one kernel,
 the :class:`PolicyConfig`, takes the proxy decisions of later epochs when
 the policy records them, and takes every OGD step. A policy supplies only
 an epoch-start hook (its live price rows, their idealized-consumption solve
-and their penalty-free coordinates) and its assignment price row. The
-run's totals, per-type counts and epoch snapshots are accounted once,
-after the loop, from the decisions by
+and their penalty-free coordinates) and its assignment price row. A
+period's state is a few price rows of at most K * m floats, where numpy's
+fixed cost per call outweighs the arithmetic, so the kernel runs each
+epoch's periods on Python floats and converts to and from arrays once per
+epoch. The run's totals, per-type counts and epoch snapshots are accounted
+once, after the loop, from the decisions by
 :func:`flowtarget.core.replay_decisions`, and its deviation cost and
 running averages come from one call of
 :func:`flowtarget.core.deviation_charge`.
@@ -40,7 +43,9 @@ is exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from operator import sub
 from typing import Optional
 
 import numpy as np
@@ -121,30 +126,42 @@ class RunResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def proxy_assign(cost_vector: np.ndarray, feasible: np.ndarray,
-                 dual_row: np.ndarray) -> int | list[int]:
+def proxy_assign(cost_vector, feasible, dual_row) -> int | list[int]:
     """Dual-adjusted assignment decision for one arrival.
 
     Returns the feasible resource minimizing ``c_i - mu_i`` when that minimum
     is <= 0 (rejecting costs exactly 0), otherwise ``REJECT``; among tied
-    minimizers the lowest index wins. A stacked (R, m) price matrix is priced
-    in one array expression and gives the list of the R rows' decisions.
+    minimizers the lowest index wins. The inputs are arrays or lists of
+    Python floats (and bools); a stacked (R, m) price matrix, or a list of R
+    price rows, gives the list of the R rows' decisions.
     """
-    adj = np.where(feasible, cost_vector - dual_row, np.inf)
-    if adj.ndim == 2:
-        return [_cheapest(row) for row in adj.tolist()]
-    return _cheapest(adj.tolist())
+    if isinstance(dual_row, np.ndarray):
+        cost_vector, feasible = np.asarray(cost_vector), np.asarray(feasible)
+        if not cost_vector.shape == feasible.shape == dual_row.shape[-1:]:
+            raise ValueError("cost_vector, feasible and each price row need one entry per resource")
+        stacked = dual_row.ndim == 2
+        cost_vector, feasible, dual_row = cost_vector.tolist(), feasible.tolist(), dual_row.tolist()
+    else:
+        stacked = not dual_row or isinstance(dual_row[0], list)  # m >= 1: [] has no rows
+    cost = [c if ok else math.inf for c, ok in zip(cost_vector, feasible)]
+    if stacked:
+        return [_cheapest(cost, row) for row in dual_row]
+    return _cheapest(cost, dual_row)
 
 
-def _cheapest(adj: list) -> int:
-    """First index of the minimum of ``adj`` when it is <= 0, else REJECT
-    (the same pick as ``np.argmin``, on a short list)."""
+def _cheapest(cost: list, dual_row: list) -> int:
+    """The pick of :func:`proxy_assign` for one price row, on lists whose
+    ``cost`` is inf at the infeasible resources: the first index of the
+    minimum adjusted cost when it is <= 0, else REJECT (the same pick as
+    ``np.argmin``)."""
+    adj = list(map(sub, cost, dual_row))
     best = min(adj)
     return adj.index(best) if best <= 0.0 else REJECT
 
 
-def ogd_update(mu_row: np.ndarray, a_row: np.ndarray, x_row: np.ndarray, eta: float) -> np.ndarray:
-    """One online gradient step ``mu + eta * (a - x)``, componentwise."""
+def ogd_update(mu_row, a_row, x_row, eta: float):
+    """One online gradient step ``mu + eta * (a - x)``, componentwise on
+    arrays or on single floats."""
     return mu_row + eta * (a_row - x_row)
 
 
@@ -176,7 +193,7 @@ def idealized_consumption(
     if not np.all(np.isfinite(duals)):
         raise ValueError("duals must be finite")
     prior = check_prior(instance, prior_consumption, epoch, "prior_consumption")
-    return _chain_solver(instance, epoch, prior)(duals)
+    return np.array(_chain_solver(instance, epoch, prior)(duals.tolist()))
 
 
 def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
@@ -189,7 +206,8 @@ def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
     epoch's start only, so they are built once here and serve every period
     of the epoch. In prefix variables epoch ``q``'s price is
     ``nu_q = duals_q - duals_{q+1}`` (the last epoch's is its own row). Each
-    call solves every column in one batch call of ``chain_prefix_argmin``."""
+    call takes the price rows as lists of floats, solves every column in one
+    batch call of ``chain_prefix_argmin`` and returns fresh lists of rows."""
     K = instance.K
     grid = instance.dev_grid
     x_units = prior * K / instance.T
@@ -202,10 +220,9 @@ def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
     table = (tau.T.tolist(), dp.T.tolist(), dm.T.tolist(),
              curv.T.tolist() if (curv > 0.0).any() else None)
 
-    def solve(duals: np.ndarray) -> np.ndarray:
-        nu = duals.copy()
-        nu[:-1] -= duals[1:]
-        return chain_prefix_argmin(*table[:3], nu.T.tolist(), table[3]).T
+    def solve(duals: list) -> list:
+        nu = [list(map(sub, col, col[1:])) + [col[-1]] for col in zip(*duals)]
+        return [list(row) for row in zip(*chain_prefix_argmin(*table[:3], nu, table[3]))]
 
     return solve
 
@@ -220,11 +237,12 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     at the start of every period. At the first period of epoch ``k``,
     ``epoch_start(k, totals, mu, mu_init)`` sees the per-resource
     consumption so far and the initial prices, may reset rows of ``mu``, and
-    returns ``(rows, solve, penalty_free)``: the index of the live rows of
-    ``mu``, the map from their prices to their idealized consumptions (a
-    fresh array each call, which the kernel may edit), and the mask of live
-    coordinates that no deviation penalty acts on. Each period implements
-    :func:`proxy_assign` at the price row ``price(mu, k)`` (``mu[k]`` when
+    returns ``(rows, solve, penalty_free)``: the slice of the live rows of
+    ``mu``, the map from their prices to their idealized consumptions (both
+    lists of rows of floats; a fresh list each call, which the kernel may
+    edit), and the mask of live coordinates that no deviation penalty acts
+    on. Each period implements :func:`proxy_assign` at the price row
+    ``price(live)`` of the live rows (the first live row, ``mu[k]``, when
     None). When ``proxy_dec`` is given, every live row instead takes its own
     proxy decision, in one call, recorded there; the first live row is
     ``mu[k]``, and its decision is implemented. Every live row then takes
@@ -232,6 +250,14 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     its idealized consumption; among minimizers of a flat (penalty-free)
     coordinate the idealized consumption takes the decision's, which keeps
     that coordinate's zero price at zero.
+
+    A period's state is a few rows of at most K * m floats, where numpy's
+    fixed cost per call outweighs the arithmetic; so within an epoch the
+    live prices, the period's costs and feasibility, the decisions and the
+    idealized consumptions are Python lists of floats. The epoch's costs are
+    converted once at its start, and its trace rows and decisions are
+    written to their arrays once at its end.
+
     Without ``epoch_start`` the run keeps zero prices and takes no step, so
     every decision is taken in one pass over the periods' cost arrays.
     ``shown`` is an optional (T + 1, K) mask of the trace rows the policy
@@ -251,29 +277,41 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
         config = config or PolicyConfig()
         eta, mu_init = config.stepsize(K, T), config.initial_duals(K, m)
         mu = mu_init.copy()
-        consumed = np.eye(m + 1, m)    # row x: decision x's use; REJECT (-1) reads the zero row
+        # row x: decision x's use; REJECT (-1) reads the zero row
+        consumed = [[float(i == x) for i in range(m)] for x in range(m)] + [[0.0] * m]
         decisions = np.full(T, REJECT, dtype=np.int16)
-        for t, (cvec, feas) in enumerate(zip(costs, feasible)):
-            k = t // step
-            if t % step == 0:
-                totals = np.bincount(decisions[:t] + 1, minlength=m + 1)[1:]
-                rows, solve, free = epoch_start(k, totals, mu, mu_init)
-                live = mu[rows]
-                flat = free if free.any() else None
-            mu_trace[t] = mu
+        etas = [eta] * m
+        for k in range(K):
+            lo, hi = k * step, (k + 1) * step
+            totals = np.bincount(decisions[:lo] + 1, minlength=m + 1)[1:]
+            rows, solve, free = epoch_start(k, totals, mu, mu_init)
+            live = mu[rows].tolist()
+            flat = np.argwhere(free).tolist()
+            mus, xs, a_rows = [], [], []
+            for cvec, feas in zip(costs[lo:hi].tolist(), feasible[lo:hi].tolist()):
+                mus.append(live)
+                if proxy_dec is None:
+                    x = proxy_assign(cvec, feas, live[0] if price is None else price(live))
+                    x_ind = [consumed[x]] * len(live)
+                else:  # live[0] is mu[k]: its decision is the implemented one
+                    x = proxy_assign(cvec, feas, live)
+                    x_ind = [consumed[xr] for xr in x]
+                xs.append(x)
+                a = solve(live)
+                for r, i in flat:
+                    if live[r][i] == 0.0:
+                        a[r][i] = x_ind[r][i]
+                a_rows.append(a)
+                live = [list(map(ogd_update, u, ai, xi, etas)) for u, ai, xi in zip(live, a, x_ind)]
+            mu_trace[lo:hi] = mu
+            mu_trace[lo:hi, rows] = mus
+            a_trace[lo:hi, rows] = a_rows
+            mu[rows] = live
             if proxy_dec is None:
-                x = decisions[t] = proxy_assign(cvec, feas, mu[k] if price is None else price(mu, k))
-            else:  # live[0] is mu[k]: its decision is the implemented one
-                x = proxy_dec[t, rows] = proxy_assign(cvec, feas, live)
-                decisions[t] = x[0]
-            x_ind = consumed[x]
-            a = solve(live)
-            if flat is not None:
-                mask = flat & (live == 0.0)
-                if mask.any():
-                    a[mask] = np.broadcast_to(x_ind, a.shape)[mask]
-            live[...] = ogd_update(live, a, x_ind, eta)
-            a_trace[t, rows] = a
+                decisions[lo:hi] = xs
+            else:
+                proxy_dec[lo:hi, rows] = xs
+                decisions[lo:hi] = [x[0] for x in xs]
         mu_trace[T] = mu
     if shown is not None:
         mu_trace[~shown] = 0.0
@@ -360,8 +398,9 @@ def myopic_epoch_targets(instance: Instance, epoch: int, variant: str,
 
 def _dev_price_start(grid, rows, target):
     """Epoch start of the policies whose live rows each solve their own
-    ``argmin g(a) + mu a`` (myopic and naive-pd): the live ``rows`` of
-    ``grid``, their solve against ``target`` and their penalty-free mask."""
+    ``argmin g(a) + mu a`` (myopic and naive-pd): the live ``rows`` (a
+    slice) of ``grid``, their solve against ``target`` and their
+    penalty-free mask."""
     dp, dm = grid.d_plus[rows], grid.d_minus[rows]
     table = dev_price_table(grid.is_squared[rows], target, dp, dm)
     return rows, lambda mu: min_dev_plus_price(table, mu), (dp == 0.0) & (dm == 0.0)
@@ -383,7 +422,7 @@ def run_myopic(instance: Instance, arrivals: ArrivalSequence,
     grid = instance.dev_grid
 
     def epoch_start(k, totals, *_):
-        return _dev_price_start(grid, k, myopic_epoch_targets(instance, k, variant, totals))
+        return _dev_price_start(grid, slice(k, k + 1), myopic_epoch_targets(instance, k, variant, totals))
 
     t = np.arange(T + 1)[:, None]
     lag = t // step - np.arange(instance.K)
@@ -404,7 +443,17 @@ def run_naive_primal_dual(instance: Instance, arrivals: ArrivalSequence,
     grid = instance.dev_grid
     return _simulate("naive-pd", instance, arrivals, config,
                      lambda k, *_: _dev_price_start(grid, slice(k, None), grid.target[k:]),
-                     price=lambda mu, k: mu[k:].sum(axis=0))
+                     price=_column_sums)
+
+
+def _column_sums(rows: list) -> list:
+    """Sum of the price rows, column by column from the first row (the
+    order of numpy's axis-0 sum, not from the ``0`` that ``sum()`` starts
+    with, which would turn a -0.0 column into +0.0)."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = [p + q for p, q in zip(total, row)]
+    return total
 
 
 def run_greedy(instance: Instance, arrivals: ArrivalSequence,

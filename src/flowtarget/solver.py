@@ -6,17 +6,19 @@ Four tools live here:
   box, with diminishing steps, warm starts, and best-iterate tracking (no
   policy uses it; acceptance criterion 10 certifies it on its own).
 * :func:`dev_price_table` and :func:`min_dev_plus_price` -- exact
-  vectorized minimizer of ``g(a) + price * a`` over ``a in [0, 1]`` for a
-  grid of deviation costs (the per-epoch idealized-consumption step of the
-  single-epoch policies, and the inner minimization of the Lagrangian
-  dual). The table holds the price-free part of the answer and is built
-  once per grid of cells; each price then costs one argmin over three
-  candidate points.
+  minimizer of ``g(a) + price * a`` over ``a in [0, 1]`` for a grid of
+  deviation costs (the per-period idealized-consumption step of the myopic
+  and naive policies, and the inner minimization of the Lagrangian dual).
+  The table holds the price-free part of the answer per cell and is built
+  once per grid; each price then costs a closed form or a first minimum
+  over three candidate points, on Python floats, for rows of prices given
+  as lists or as an array.
 * :func:`chain_prefix_argmin` -- exact minimizer of the coupled multi-epoch
   idealized-consumption objective for every deviation family, via a tiny
   dynamic program over prefix variables whose value-to-go functions are
-  convex piecewise quadratic; one call solves one chain, or a batch of
-  chains given as 2-D inputs (one resource column each, in the policies).
+  convex piecewise quadratic; one call solves one chain (an array of
+  increments), or a batch of chains given as 2-D inputs (one resource
+  column each, in the policies; a list of increment lists).
 * :func:`project_simplex` -- the sort-and-threshold Euclidean projection
   onto the probability simplex (Duchi et al., ICML 2008), shared by the
   Gumbel MLE's type mix and the dual backend's per-cell shares.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,48 +98,80 @@ def solve_box_convex(
 
 
 class DevPriceTable(NamedTuple):
-    """Price-free part of :func:`min_dev_plus_price` for one grid of cells."""
+    """Price-free part of :func:`min_dev_plus_price` for one grid of cells.
 
-    pts: np.ndarray      # (3, ...) candidate points {0, clip(target), 1}
-    dev_pts: np.ndarray  # (3, ...) piecewise-linear penalty at each point
-    squared: Optional[tuple]  # (mask, target, d+ > 0, 2 d+ or 1); None without squared cells
-    only_squared: bool  # every cell squared with d+ > 0: the closed form is the answer
+    ``cells`` holds one tuple per cell, in C order: ``(target, 2 d+)`` for a
+    squared cell with ``d+ > 0``, which takes the closed form, and otherwise
+    ``(clip(target), g(0), g(clip(target)), g(1))``, the candidate points'
+    penalties (zero for a squared cell with ``d+ = 0``, whose objective is
+    the price term alone). ``rows`` holds the same tuples, one list per row
+    of the grid's last axis.
+    """
+
+    cells: list
+    rows: list
+
+    @property
+    def only_squared(self) -> bool:
+        """Every cell is squared with ``d+ > 0``: the closed form answers
+        everywhere."""
+        return all(len(cell) == 2 for cell in self.cells)
 
 
 def dev_price_table(is_squared: np.ndarray, target: np.ndarray,
                     d_plus: np.ndarray, d_minus: np.ndarray) -> DevPriceTable:
-    """Build the table that :func:`min_dev_plus_price` prices."""
+    """Build the table that :func:`min_dev_plus_price` prices; the inputs
+    broadcast to the grid's shape, which has at least one axis."""
+    is_squared, target, d_plus, d_minus = np.broadcast_arrays(is_squared, target, d_plus, d_minus)
     tgt = np.clip(target, 0.0, 1.0)
-    pts = np.stack([np.zeros_like(tgt), tgt, np.ones_like(tgt)])
-    gap = pts - target
+    gap = np.stack([np.zeros_like(tgt), tgt, np.ones_like(tgt)]) - target
     dev_pts = d_plus * np.maximum(gap, 0.0) + d_minus * np.maximum(-gap, 0.0)
-    squared = None
-    only_squared = False
-    if np.any(is_squared):
-        pos = d_plus > 0
-        squared = (is_squared, target, pos, np.where(pos, 2.0 * d_plus, 1.0))
-        only_squared = bool(np.all(is_squared & pos))
-    return DevPriceTable(pts, dev_pts, squared, only_squared)
+    linear = np.stack([tgt, *np.where(is_squared, 0.0, dev_pts)], axis=-1)
+    closed = np.stack([target, 2.0 * d_plus], axis=-1)
+    cells = [tuple(sq if use_sq else lin) for use_sq, sq, lin in
+             zip((is_squared & (d_plus > 0)).ravel().tolist(),
+                 closed.reshape(-1, 2).tolist(), linear.reshape(-1, 4).tolist())]
+    width = target.shape[-1]
+    return DevPriceTable(cells, [cells[i:i + width] for i in range(0, len(cells), width)])
 
 
-def min_dev_plus_price(table: DevPriceTable, price: np.ndarray) -> np.ndarray:
+def min_dev_plus_price(table: DevPriceTable, price):
     """Exact argmin over [0, 1] of ``g(a) + price * a``, elementwise.
 
     Piecewise-linear families are minimized at one of {0, clip(target), 1};
     the squared family has the closed form ``clip(target - price / (2 d))``.
-    Ties go to the smallest candidate, so a flat objective returns 0. A grid
-    whose cells are all squared with ``d > 0`` skips the candidate argmin,
-    whose answer the closed form would replace everywhere.
+    Ties go to the smallest candidate, so a flat objective returns 0.
+
+    ``price`` is a list of rows of Python floats, one per row of the table,
+    and the answer is a fresh list of rows; or it is an array of the grid's
+    shape, and the answer is an array of that shape. Both run the same
+    per-cell loop on floats: a grid of a few cells, as the policies price
+    every period, is too small for numpy's per-call cost to pay off.
     """
-    if table.only_squared:
-        _, target, _, den = table.squared
-        return np.clip(target - price / den, 0.0, 1.0)
-    a = np.argmin(table.dev_pts + price * table.pts, axis=0).choose(table.pts)
-    if table.squared is None:
-        return a
-    mask, target, pos, den = table.squared
-    sq = np.where(pos, np.clip(target - price / den, 0.0, 1.0), np.where(price < 0, 1.0, 0.0))
-    return np.where(mask, sq, a)
+    if isinstance(price, np.ndarray):
+        return np.array(_min_row(table.cells, price.ravel().tolist())).reshape(price.shape)
+    return [_min_row(c, p) for c, p in zip(table.rows, price)]
+
+
+def _min_row(cells, prices) -> list:
+    """The argmins of a run of table cells at their prices: the closed form,
+    clipped to [0, 1] as ``np.clip`` does (-0.0 stays -0.0), or the first
+    minimum over the three candidates (at 0 the price term adds nothing, at
+    1 it adds the price)."""
+    out = []
+    for cell, p in zip(cells, prices):
+        if len(cell) == 2:
+            target, den = cell
+            a = target - p / den
+            out.append(a if 0.0 <= a <= 1.0 else (0.0 if a < 0.0 else 1.0))
+            continue
+        pt, v0, g1, g2 = cell
+        v1, v2 = g1 + p * pt, g2 + p
+        if v1 < v0:
+            out.append(1.0 if v2 < v1 else pt)
+        else:
+            out.append(1.0 if v2 < v0 else 0.0)
+    return out
 
 
 def _floats(v):
@@ -145,7 +179,7 @@ def _floats(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
+def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None):
     """Exact minimizer of a prefix-coupled convex objective.
 
     Minimizes ``sum_q [phi_q(s_q) + nu_q s_q]`` over prefix sums ``s`` with
@@ -161,8 +195,10 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
 
     A batch of chains is solved in one call: 2-D inputs (arrays or lists of
     lists) hold one chain per row, with ``curvature`` None or 2-D, and the
-    result holds one row of increments per chain, each equal bit for bit to
-    the 1-D call on that row.
+    result is a list with one list of increments per chain, each equal bit
+    for bit to the 1-D call on that row. The policies call the batch form
+    every period on a few short chains, so it hands back the DP's own lists
+    rather than paying numpy's per-call cost to wrap them.
 
     The backward pass builds the convex value-to-go functions as
     breakpoints plus a derivative ``c*s + e`` per segment, takes each
@@ -181,7 +217,7 @@ def chain_prefix_argmin(tau, d_plus, d_minus, nu, curvature=None) -> np.ndarray:
     if tau and isinstance(tau[0], list):
         if curv is None:
             curv = [None] * len(tau)
-        return np.array([_chain(*row) for row in zip(tau, d_plus, d_minus, nu, curv)])
+        return [_chain(*row) for row in zip(tau, d_plus, d_minus, nu, curv)]
     return np.array(_chain(tau, d_plus, d_minus, nu, curv))
 
 

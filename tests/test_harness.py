@@ -155,6 +155,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="gap_tol must be finite and nonnegative"):
             small_config(gap_tol=gap_tol)
 
+    def test_negative_workers_rejected_naming_the_field(self):
+        # -3 used to run serially without a word
+        with pytest.raises(ValueError, match="workers must be nonnegative"):
+            small_config(workers=-3)
+
     def test_horizons_truncated_to_epoch_multiples(self):
         with pytest.warns(UserWarning, match="truncating"):
             cfg = small_config(T_values=(31, 60))
@@ -228,6 +233,57 @@ class TestCli:
             cli_main(argv + ["--gap-tol", value])
         assert exc.value.code == 2
         assert f"--gap-tol: must be a finite, nonnegative number, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "--instance", "i.json"], ["sweep"],
+                                      ["oracle", "--instance", "i.json", "--omega", "o.json"]])
+    @pytest.mark.parametrize("value", [float("nan"), "abc", -1])
+    def test_config_file_gap_tol_checked_like_the_flag(self, argv, value, tmp_path, capsys):
+        # config values used to skip the flag's type: NaN let run exit 0 with
+        # any oracle gap, and "abc" ended run and oracle in a TypeError
+        import json
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"gap_tol": value}, fh)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--config", cfg_path])
+        assert exc.value.code == 2
+        assert f"--gap-tol: must be a finite, nonnegative number, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"workers": -3}, "--workers: must be a nonnegative integer, got '-3'"),
+        ({"T": [30, "x"]}, "--T: invalid int value: 'x'"),
+        ({"T": 30}, "--T: expected a list, got 30"),
+        ({"policy": ["greedy", "bogus"]}, "--policy: invalid choice: 'bogus'"),
+        ({"oracle_backend": "simplex"}, "--oracle-backend: invalid choice: 'simplex'"),
+        ({"scaling_report": "yes"}, "--scaling-report: expected true or false, got 'yes'"),
+    ])
+    def test_config_file_values_checked_per_element_and_choice(self, overrides, message,
+                                                                tmp_path, capsys):
+        import json
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(overrides, fh)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", cfg_path])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_workers_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--workers", "-3"])
+        assert exc.value.code == 2
+        assert "--workers: must be a nonnegative integer, got '-3'" in capsys.readouterr().err
+
+    def test_valid_config_file_values_still_apply(self, tmp_path):
+        import json
+        out = str(tmp_path / "sweep")
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"policy": ["greedy"], "T": [30], "delta": [0.5], "reps": 1, "seed": 5,
+                       "gap_tol": 0.5, "workers": 1, "scaling_report": False, "out": out}, fh)
+        assert cli_main(["sweep", "--config", cfg_path]) == 0
+        rows = read_csv_rows(os.path.join(out, "replications.csv"))
+        assert [(r["policy"], r["T"], r["delta"]) for r in rows] == [("greedy", 30, 0.5)]
 
     def test_config_file_mirrors_flags(self, tmp_path):
         import json

@@ -72,6 +72,14 @@ class TestProxyAssign:
         assert proxy_assign(cost, feasible, rows) == [0, 0, 1, REJECT]
         assert proxy_assign(cost, np.zeros(3, dtype=bool), rows[:2]) == [REJECT, REJECT]
         assert proxy_assign(cost, feasible, rows[:0]) == []
+        assert proxy_assign(cost.tolist(), feasible.tolist(), []) == []
+
+    def test_mismatched_array_lengths_are_rejected(self):
+        cost, feasible = np.array([-1.0, -0.5]), np.array([True, True])
+        for args in ((cost, feasible, np.zeros(3)), (cost, feasible[:1], np.zeros(2)),
+                     (cost, feasible, np.zeros((2, 3)))):
+            with pytest.raises(ValueError, match="one entry per resource"):
+                proxy_assign(*args)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_stacked_equals_row_by_row(self, m):
@@ -84,6 +92,9 @@ class TestProxyAssign:
             rows = rng.integers(-4, 5, size=(R, m)) * 0.25
             got = proxy_assign(cost, feasible, rows)
             assert got == [proxy_assign(cost, feasible, row) for row in rows]
+            # the kernel's form: lists of Python floats and bools
+            assert proxy_assign(cost.tolist(), feasible.tolist(), rows.tolist()) == got
+            assert proxy_assign(cost.tolist(), feasible.tolist(), rows[0].tolist()) == got[0]
             adj = np.where(feasible, cost - rows, np.inf)
             pick = np.argmin(adj, axis=1)
             want = np.where(adj[np.arange(R), pick] <= 0.0, pick, REJECT)
@@ -247,7 +258,7 @@ class TestIdealizedConsumption:
                 duals = rng.uniform(-1.5, 1.5, size=(inst.K - epoch, inst.m))
                 duals[rng.random(duals.shape) < 0.2] = 0.0
                 want = reference_chain_solve(inst, epoch, prior, duals)
-                assert solve(duals).tobytes() == want.tobytes()
+                assert np.array(solve(duals)).tobytes() == want.tobytes()
                 draws += 1
         assert draws == 1200
 
@@ -644,3 +655,74 @@ class TestPoliciesPinned:
         info = run_experiment(small_config(workers=workers), str(tmp_path / "out"))
         with open(info["replications_csv"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.REPLICATIONS
+
+
+BATTERY_POLICIES = ("greedy", "me", "naive-pd", "proxy-dgd", "smart-me")
+
+
+def battery_problem(seed, K):
+    """A seeded typed instance, its arrivals and config for the digest
+    battery: every penalty family, squared penalties in a third of the
+    seeds, one all-zero (flat) epoch row in a fifth, costs on a 0.25 grid
+    (ties and signed zeros) in half, and a random ``mu_init`` in half."""
+    rng = np.random.default_rng([seed, K])
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    T = K * int(rng.integers(4, 25))
+    costs = rng.uniform(-1.0, 1.0, size=(n, m))
+    if seed % 2 == 0:
+        costs = np.round(costs * 4.0) / 4.0
+    feasible = rng.random((n, m)) < 0.85
+    targets = rng.uniform(0.0, 1.0, size=(K, m))
+    fams = ["absolute", "under_over", "zero"] + (["squared"] if seed % 3 == 0 else [])
+    flat_row = int(rng.integers(0, K)) if seed % 5 == 0 else -1
+    rows = []
+    for k in range(K):
+        row = []
+        for i in range(m):
+            fam, t = ("zero" if k == flat_row else str(rng.choice(fams))), float(targets[k, i])
+            d_plus, d_minus = rng.uniform(0.1, 2.0, size=2)
+            row.append({"zero": DeviationCost.zero(),
+                        "absolute": DeviationCost.absolute(d_plus, t),
+                        "under_over": DeviationCost.under_over(d_plus, float(rng.choice([0.0, d_minus])), t),
+                        "squared": DeviationCost.squared(d_plus, t)}[fam])
+        rows.append(tuple(row))
+    inst = Instance(costs=costs, feasible=feasible, probs=rng.dirichlet(np.ones(n)), epochs=K,
+                    horizon=T, targets=targets, dev_costs=tuple(rows))
+    mu_init = rng.normal(scale=0.5, size=(K, m)) if seed % 2 == 1 else None
+    return inst, sample_arrivals(inst, seed), PolicyConfig(eta=float(rng.uniform(0.1, 1.0)),
+                                                           mu_init=mu_init)
+
+
+class TestPolicyDigestBattery:
+    # SHA-256, per (K, policy), over 30 seeds' run_digest values and the
+    # float.hex of their three costs; recorded before the policy kernel
+    # moved its per-period state from numpy arrays to Python floats
+    PINNED = {
+        (1, 'greedy'): "24703880a6d487c3f08f5a5759db44aa6d12368a1a7cd31a1e370450626ec0c2",
+        (3, 'greedy'): "c2ba506ebbc2a20dc5894df45bc8e9d8400f2a86f349f8d8f6a4d2b7e2710575",
+        (4, 'greedy'): "98774866722ed5a99654273578559248bfee56ca76bf493db53fcee5f05a5d11",
+        (1, 'me'): "78c2bef9b11f892ddbf212ad878d947208f455075248fc252344e9608917bf6a",
+        (3, 'me'): "d7da6bac9f8ed264ccb87f4ef7084e6ae17c0f512f568c8a6737f67665608ed4",
+        (4, 'me'): "c31995f61a8ba8eab0ca920a28d08bb17c6ad10ab1a8167d3feac4fa826a213d",
+        (1, 'naive-pd'): "78c2bef9b11f892ddbf212ad878d947208f455075248fc252344e9608917bf6a",
+        (3, 'naive-pd'): "9fa925dcc555f12f5198dd62c55538b3ccc8832fdcf3978979900337ff6768ae",
+        (4, 'naive-pd'): "9695b428e36fa5cc9f35d73410abaffb676333ac80895c0109e38ee350f02c29",
+        (1, 'proxy-dgd'): "7fffc9e05cfbaf08f30d6fb02a5eb23a40db3e3127d8ecb1fc3d77e4600fb8f1",
+        (3, 'proxy-dgd'): "48f18548a7d5a9ab345c227f7931c700220c318f5f8bda8d6bc2e42a48b65503",
+        (4, 'proxy-dgd'): "809eca7824eed417a2ad9a63138846f906da4ef0973ae9b7c1b6394a3abd5514",
+        (1, 'smart-me'): "78c2bef9b11f892ddbf212ad878d947208f455075248fc252344e9608917bf6a",
+        (3, 'smart-me'): "3ddeadab2699ef0d98b8a0863c049eced311af53e91b446c20abda5c83588868",
+        (4, 'smart-me'): "871a07866a951fb7711df5218bbdf4eb9c8ac6be00e27e0ae73d17382af1c190",
+    }
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    @pytest.mark.parametrize("policy", BATTERY_POLICIES)
+    def test_outputs_are_bit_identical_to_recorded(self, policy, K, tmp_path):
+        h = hashlib.sha256()
+        for seed in range(30):
+            inst, omega, cfg = battery_problem(seed, K)
+            r = POLICIES[policy](inst, omega, cfg)
+            h.update(run_digest(inst, omega, r, tmp_path).encode())
+            for cost in (r.assignment_cost, r.deviation_cost, r.total_cost):
+                h.update(float(cost).hex().encode())
+        assert h.hexdigest() == self.PINNED[K, policy]

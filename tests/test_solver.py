@@ -98,6 +98,19 @@ class TestMinDevPlusPrice:
                                 np.zeros((1, 2)), np.zeros((1, 2)))
         np.testing.assert_array_equal(min_dev_plus_price(table, np.zeros((1, 2))), 0.0)
 
+    def test_list_rows_equal_the_array_form_bit_for_bit(self):
+        # the policies price list rows; signed zeros and ties included
+        rng = np.random.default_rng(3)
+        values = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5])
+        for _ in range(200):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            table = dev_price_table(rng.random(shape) < 0.3, rng.choice(values, shape),
+                                    rng.choice(values[3:], shape), rng.choice(values[3:], shape))
+            price = rng.choice(values, shape)
+            got = min_dev_plus_price(table, price.tolist())
+            assert isinstance(got, list) and all(isinstance(row, list) for row in got)
+            assert np.array(got).tobytes() == min_dev_plus_price(table, price).tobytes()
+
     @pytest.mark.parametrize("squared_share", [0.0, 0.3, 1.0])
     def test_bit_identical_to_frozen_one_call_minimizer(self, squared_share):
         # Dyadic weights, targets and prices make exact ties between
@@ -338,15 +351,15 @@ class TestChainBatch:
         for _ in range(300):
             rows = int(rng.integers(1, 5))
             tau, dp, dm, nu, curv = random_batch(rng, kind, rows, R)
-            got = chain_prefix_argmin(tau, dp, dm, nu, curv)
+            got = np.array(chain_prefix_argmin(tau, dp, dm, nu, curv))
             assert got.shape == (rows, R)
             want = np.array([chain_prefix_argmin(*row) for row in zip(tau, dp, dm, nu, curv)])
             assert got.tobytes() == want.tobytes()
             lists = [v.tolist() for v in (tau, dp, dm, nu, curv)]
-            assert chain_prefix_argmin(*lists).tobytes() == want.tobytes()
+            assert np.array(chain_prefix_argmin(*lists)).tobytes() == want.tobytes()
             if kind != "squared":  # no squared stage: None and all zeros agree
-                assert chain_prefix_argmin(tau, dp, dm, nu).tobytes() == want.tobytes()
-                assert chain_prefix_argmin(*lists[:4], None).tobytes() == want.tobytes()
+                assert np.array(chain_prefix_argmin(tau, dp, dm, nu)).tobytes() == want.tobytes()
+                assert np.array(chain_prefix_argmin(*lists[:4], None)).tobytes() == want.tobytes()
                 for row, w in zip(zip(tau, dp, dm, nu), want):
                     assert legacy_chain_prefix_argmin(*row).tobytes() == w.tobytes()
 
