@@ -105,24 +105,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out")
 
 
-def _finite_nonnegative(text: str) -> float:
-    """A flag's float value, rejected unless finite and nonnegative."""
-    try:
-        if 0.0 <= float(text) < np.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text!r}")
+def _checked(convert, accept, what: str):
+    """An argparse type: ``convert(text)``, rejected with ``must be <what>``
+    unless it converts and ``accept`` takes it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """A flag's integer value, rejected when negative."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+_finite_nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite, nonnegative number")
+_finite_positive = _checked(float, lambda v: 0.0 < v < np.inf, "a finite, positive number")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 
 
 def _add_oracle(p: argparse.ArgumentParser) -> None:
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--instance", required=True)
     p.add_argument("--omega", help="arrival file; sampled from the instance when omitted")
     p.add_argument("--policy", default="proxy-dgd", choices=sorted(POLICIES))
-    p.add_argument("--eta-mult", type=float, default=1.0)
+    p.add_argument("--eta-mult", type=_finite_positive, default=1.0)
     _add_oracle(p)
 
     p = sub.add_parser("sweep", help="Monte-Carlo sweep across policies and cells")
@@ -162,8 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--T", type=int, nargs="+", default=[501])
     p.add_argument("--delta", type=float, nargs="+", default=[1.0])
     p.add_argument("--gamma", type=float, nargs="+", default=[2.0])
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--eta-mult", type=float, default=1.0)
+    p.add_argument("--reps", type=_positive_int, default=100)
+    p.add_argument("--eta-mult", type=_finite_positive, default=1.0)
     _add_oracle(p)
     p.add_argument("--workers", type=_nonnegative_int, default=0, help="0 = one per CPU")
     p.add_argument("--scaling-report", action="store_true",

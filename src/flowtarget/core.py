@@ -631,7 +631,11 @@ def export_trace_csv(path: str, instance: Instance, arrivals: ArrivalSequence,
     resource, and the cost accumulated so far (assignment plus the deviation
     charges of epochs already closed). t, epoch and type are 1-based in the
     file; decision 0 means reject and ``i`` means resource ``i`` (1-based).
+    A run without its ``mu_trace`` (one with ``PolicyConfig.traces`` off)
+    raises a ValueError.
     """
+    if run_result.mu_trace is None:
+        raise ValueError("run result has no mu_trace: it ran with traces off")
     T, K, m, step = instance.T, instance.K, instance.m, instance.epoch_len
     header = ["t", "epoch", "type", "decision"]
     header += [f"mu_{k + 1}_{i + 1}" for k in range(K) for i in range(m)]

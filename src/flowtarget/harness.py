@@ -48,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        if not 0.0 < self.eta_mult < np.inf:
+            raise ValueError(f"eta_mult must be positive and finite, got {self.eta_mult}")
         if not 0.0 <= self.gap_tol < np.inf:
             raise ValueError(f"gap_tol must be finite and nonnegative, got {self.gap_tol}")
         if self.workers < 0:
@@ -142,7 +144,7 @@ def _run_replication(args) -> list[MetricsRow]:
     omega = sample_arrivals(instance, seed, stream_index=rep)
     sol = hindsight_optimum(instance, omega, backend=config.oracle_backend)
     flagged_gap = sol.gap > config.gap_tol
-    cfg = PolicyConfig(eta_mult=config.eta_mult)
+    cfg = PolicyConfig(eta_mult=config.eta_mult, traces=False)  # the rows read only costs and deviations
     rows = []
     for name in config.policies:
         t0 = time.perf_counter()

@@ -44,6 +44,7 @@ is exactly zero.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import sub
 from typing import Optional
@@ -72,11 +73,15 @@ class PolicyConfig:
     one that is used must be positive and finite.
     ``mu_init`` is the initial (K, m) shadow-price matrix (zeros when
     omitted); single-row policies use the row of their current epoch.
+    ``traces=False`` skips the per-period traces: the run's ``mu_trace``,
+    ``a_trace`` and ``proxy_decisions`` are None, and its decisions, costs,
+    consumptions and deviations are unchanged. Greedy reads only this field.
     """
 
     eta: Optional[float] = None
     eta_mult: float = 1.0
     mu_init: Optional[np.ndarray] = None
+    traces: bool = True
 
     def stepsize(self, K: int, T: int) -> float:
         name, value = ("eta", self.eta) if self.eta is not None else ("eta_mult", self.eta_mult)
@@ -106,15 +111,16 @@ class RunResult:
     period ``t`` (rows before the current epoch stay zero).
     ``proxy_decisions[t, k]`` is the proxy assignment made in period ``t``
     for epoch ``k`` (-1 = reject, -2 = epoch already past); only the proxy
-    policy fills it.
+    policy fills it. A run with ``PolicyConfig.traces`` off leaves all three
+    traces None.
     """
 
     policy: str
     eta: float
     arrivals: ArrivalSequence
     decisions: np.ndarray
-    mu_trace: np.ndarray
-    a_trace: np.ndarray
+    mu_trace: Optional[np.ndarray]
+    a_trace: Optional[np.ndarray]
     proxy_decisions: Optional[np.ndarray]
     epoch_consumption: np.ndarray
     by_type_final: np.ndarray
@@ -228,7 +234,7 @@ def _chain_solver(instance: Instance, epoch: int, prior: np.ndarray):
 
 
 def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
-              proxy_dec=None, shown=None) -> RunResult:
+              proxy=False, shown=None) -> RunResult:
     """The one per-period loop behind every policy, and the one place that
     runs the primal-dual template.
 
@@ -243,54 +249,61 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
     edit), and the mask of live coordinates that no deviation penalty acts
     on. Each period implements :func:`proxy_assign` at the price row
     ``price(live)`` of the live rows (the first live row, ``mu[k]``, when
-    None). When ``proxy_dec`` is given, every live row instead takes its own
-    proxy decision, in one call, recorded there; the first live row is
-    ``mu[k]``, and its decision is implemented. Every live row then takes
-    the step :func:`ogd_update` from the consumption of its decision toward
-    its idealized consumption; among minimizers of a flat (penalty-free)
-    coordinate the idealized consumption takes the decision's, which keeps
-    that coordinate's zero price at zero.
+    None). With ``proxy``, every live row instead takes its own proxy
+    decision, in one call, recorded in ``proxy_decisions``; the first live
+    row is ``mu[k]``, and its decision is implemented. Every live row then
+    takes the step :func:`ogd_update` from the consumption of its decision
+    toward its idealized consumption; among minimizers of a flat
+    (penalty-free) coordinate the idealized consumption takes the
+    decision's, which keeps that coordinate's zero price at zero.
 
     A period's state is a few rows of at most K * m floats, where numpy's
     fixed cost per call outweighs the arithmetic; so within an epoch the
     live prices, the period's costs and feasibility, the decisions and the
     idealized consumptions are Python lists of floats. The epoch's costs are
     converted once at its start, and its trace rows and decisions are
-    written to their arrays once at its end.
+    written to their arrays once at its end. With ``config.traces`` off the
+    run allocates no trace, and each epoch's price and consumption rows go
+    to a sink that keeps nothing, so the loop itself is the same either way.
 
     Without ``epoch_start`` the run keeps zero prices and takes no step, so
     every decision is taken in one pass over the periods' cost arrays.
-    ``shown`` is an optional (T + 1, K) mask of the trace rows the policy
-    reports; the rest read 0. Run costs are accounted once, after the loop,
-    from the decisions.
+    ``shown()`` gives an optional (T + 1, K) mask of the trace rows the
+    policy reports; the rest read 0. Run costs are accounted once, after the
+    loop, from the decisions.
     """
     arrivals.validate_for(instance)
     T, K, m, step = instance.T, instance.K, instance.m, instance.epoch_len
     costs, feasible = arrivals.per_period(instance)
-    mu_trace = np.zeros((T + 1, K, m))
-    a_trace = np.zeros((T, K, m))
+    config = config or PolicyConfig()
+    traces = config.traces
+    mu_trace = a_trace = proxy_dec = None
+    if traces:
+        mu_trace, a_trace = np.zeros((T + 1, K, m)), np.zeros((T, K, m))
+        if proxy:
+            proxy_dec = np.full((T, K), PROXY_NA, dtype=np.int16)
     if epoch_start is None:  # zero prices and no step: every decision in one pass
         eta = 0.0
         adj = np.where(feasible, costs, np.inf)
         decisions = np.where(adj.min(axis=1) <= 0.0, adj.argmin(axis=1), REJECT).astype(np.int16)
     else:
-        config = config or PolicyConfig()
         eta, mu_init = config.stepsize(K, T), config.initial_duals(K, m)
         mu = mu_init.copy()
         # row x: decision x's use; REJECT (-1) reads the zero row
         consumed = [[float(i == x) for i in range(m)] for x in range(m)] + [[0.0] * m]
         decisions = np.full(T, REJECT, dtype=np.int16)
         etas = [eta] * m
+        sink = deque(maxlen=0)
         for k in range(K):
             lo, hi = k * step, (k + 1) * step
             totals = np.bincount(decisions[:lo] + 1, minlength=m + 1)[1:]
             rows, solve, free = epoch_start(k, totals, mu, mu_init)
             live = mu[rows].tolist()
             flat = np.argwhere(free).tolist()
-            mus, xs, a_rows = [], [], []
+            mus, xs, a_rows = ([], [], []) if traces else (sink, [], sink)
             for cvec, feas in zip(costs[lo:hi].tolist(), feasible[lo:hi].tolist()):
                 mus.append(live)
-                if proxy_dec is None:
+                if not proxy:
                     x = proxy_assign(cvec, feas, live[0] if price is None else price(live))
                     x_ind = [consumed[x]] * len(live)
                 else:  # live[0] is mu[k]: its decision is the implemented one
@@ -303,18 +316,18 @@ def _simulate(policy, instance, arrivals, config, epoch_start, price=None,
                         a[r][i] = x_ind[r][i]
                 a_rows.append(a)
                 live = [list(map(ogd_update, u, ai, xi, etas)) for u, ai, xi in zip(live, a, x_ind)]
-            mu_trace[lo:hi] = mu
-            mu_trace[lo:hi, rows] = mus
-            a_trace[lo:hi, rows] = a_rows
+            if traces:
+                mu_trace[lo:hi] = mu
+                mu_trace[lo:hi, rows] = mus
+                a_trace[lo:hi, rows] = a_rows
+                if proxy:
+                    proxy_dec[lo:hi, rows] = xs
             mu[rows] = live
-            if proxy_dec is None:
-                decisions[lo:hi] = xs
-            else:
-                proxy_dec[lo:hi, rows] = xs
-                decisions[lo:hi] = [x[0] for x in xs]
-        mu_trace[T] = mu
-    if shown is not None:
-        mu_trace[~shown] = 0.0
+            decisions[lo:hi] = [x[0] for x in xs] if proxy else xs
+        if traces:
+            mu_trace[T] = mu
+    if shown is not None and traces:
+        mu_trace[~shown()] = 0.0
     state, assignment = replay_decisions(instance, arrivals, decisions)
     deviation, running = deviation_charge(instance, state.snapshots)
     return RunResult(
@@ -359,8 +372,7 @@ def run_proxy_dual_gd(instance: Instance, arrivals: ArrivalSequence,
         mu[k:] = mu_init[k:]
         return slice(k, None), _chain_solver(instance, k, totals.astype(float)), free[k:]
 
-    proxy_dec = np.full((instance.T, instance.K), PROXY_NA, dtype=np.int16)
-    return _simulate("proxy-dgd", instance, arrivals, config, epoch_start, proxy_dec=proxy_dec)
+    return _simulate("proxy-dgd", instance, arrivals, config, epoch_start, proxy=True)
 
 
 def run_single_epoch_dgd(instance: Instance, arrivals: ArrivalSequence,
@@ -424,9 +436,11 @@ def run_myopic(instance: Instance, arrivals: ArrivalSequence,
     def epoch_start(k, totals, *_):
         return _dev_price_start(grid, slice(k, k + 1), myopic_epoch_targets(instance, k, variant, totals))
 
-    t = np.arange(T + 1)[:, None]
-    lag = t // step - np.arange(instance.K)
-    shown = (lag == 0) | ((lag == 1) & (t % step == 0))
+    def shown():
+        t = np.arange(T + 1)[:, None]
+        lag = t // step - np.arange(instance.K)
+        return (lag == 0) | ((lag == 1) & (t % step == 0))
+
     return _simulate(variant, instance, arrivals, config, epoch_start, shown=shown)
 
 
@@ -459,8 +473,9 @@ def _column_sums(rows: list) -> list:
 def run_greedy(instance: Instance, arrivals: ArrivalSequence,
                config: Optional[PolicyConfig] = None) -> RunResult:
     """Assign each arrival to its cheapest feasible resource when that cost
-    is nonpositive, otherwise reject; targets are ignored entirely."""
-    return _simulate("greedy", instance, arrivals, config=None, epoch_start=None)
+    is nonpositive, otherwise reject; targets are ignored entirely, and of
+    the config only ``traces`` is read."""
+    return _simulate("greedy", instance, arrivals, config, epoch_start=None)
 
 
 POLICIES = {

@@ -55,18 +55,36 @@ def random_composite(seed, d, n_terms=4, allow_squared=True):
         coef = float(rng.uniform(0.2, 2.0))
         terms.append((g, w, coef))
     lin = rng.uniform(-1.0, 1.0, size=d)
+    # f and sub return the floats of DeviationCost.evaluate / .subgradient
+    # summed term by term (f from int 0, as sum() starts), on Python floats.
+    # One stacked matmul takes every term's w @ x and lin @ x: each row of
+    # (n_terms + 1, 1, d) @ (d,) is the same dot product, rounded alike, as
+    # its own 1-D w @ x.
+    rows = np.stack([w for _, w, _ in terms] + [lin])[:, None, :]
+    coefs = [(g.family == "squared", c, g.delta_plus, g.delta_minus, g.target) for g, _, c in terms]
+    columns = list(zip(*[w.tolist() for _, w, _ in terms]))  # coordinate i: every term's w_i
+    lin_list = lin.tolist()
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        return float(sum(c * g.evaluate(float(w @ x), check_domain=False)
-                         for g, w, c in terms) + lin @ x)
+        *zs, z_lin = (rows @ np.asarray(x, dtype=float)).ravel().tolist()
+        total = 0
+        for (squared, c, dp, dm, target), z in zip(coefs, zs):
+            gap = z - target
+            total += c * (dp * gap * gap if squared else dp * gap if gap >= 0.0 else -dm * gap)
+        return float(total + z_lin)
 
     def sub(x):
-        x = np.asarray(x, dtype=float)
-        out = lin.copy()
-        for g, w, c in terms:
-            out += c * g.subgradient(float(w @ x), check_domain=False) * w
-        return out
+        zs = (rows @ np.asarray(x, dtype=float)).ravel().tolist()
+        scales = []
+        for (squared, c, dp, dm, target), z in zip(coefs, zs):
+            gap = z - target
+            scales.append(c * (2.0 * dp * gap if squared else dp if gap > 0.0 else -dm if gap < 0.0 else 0.0))
+        out = []
+        for o, column in zip(lin_list, columns):  # lin + each term's c * g'(w @ x) * w, in term order
+            for scale, wi in zip(scales, column):
+                o += scale * wi
+            out.append(o)
+        return np.array(out)
 
     def f_batch(points):
         vals = points @ lin

@@ -155,6 +155,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="gap_tol must be finite and nonnegative"):
             small_config(gap_tol=gap_tol)
 
+    @pytest.mark.parametrize("eta_mult", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_eta_mult_must_be_positive_and_finite(self, eta_mult):
+        # -1 used to be accepted and fail only in the sweep's first policy run
+        with pytest.raises(ValueError, match="eta_mult must be positive and finite"):
+            small_config(eta_mult=eta_mult)
+
+    def test_policies_run_with_traces_off(self, tmp_path, monkeypatch):
+        # a replication reads only costs and deviations, never a trace
+        seen = []
+
+        def spy(inst, omega, cfg):
+            seen.append(cfg)
+            return greedy(inst, omega, cfg)
+
+        greedy = POLICIES["greedy"]
+        monkeypatch.setitem(POLICIES, "greedy", spy)
+        run_experiment(small_config(policies=("greedy",), reps=1), str(tmp_path / "out"))
+        assert len(seen) == 2 and all(cfg.traces is False for cfg in seen)
+
     def test_negative_workers_rejected_naming_the_field(self):
         # -3 used to run serially without a word
         with pytest.raises(ValueError, match="workers must be nonnegative"):
@@ -265,6 +284,40 @@ class TestCli:
             json.dump(overrides, fh)
         with pytest.raises(SystemExit) as exc:
             cli_main(["sweep", "--config", cfg_path])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "--instance", "i.json"], ["sweep"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_eta_mult_flag_rejected_unless_positive_and_finite(self, argv, value, capsys):
+        # nan used to end run in a traceback from PolicyConfig.stepsize (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--eta-mult", value])
+        assert exc.value.code == 2
+        assert f"--eta-mult: must be a finite, positive number, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "abc"])
+    def test_reps_flag_rejected_unless_a_positive_integer(self, value, capsys):
+        # 0 used to end sweep in "ValueError: need at least one replication" (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--reps", value])
+        assert exc.value.code == 2
+        assert f"--reps: must be a positive integer, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, overrides, message", [
+        (["run", "--instance", "i.json"], {"eta_mult": float("nan")},
+         "--eta-mult: must be a finite, positive number, got 'nan'"),
+        (["sweep"], {"eta_mult": -1}, "--eta-mult: must be a finite, positive number, got '-1'"),
+        (["sweep"], {"reps": 0}, "--reps: must be a positive integer, got '0'"),
+    ])
+    def test_config_file_eta_mult_and_reps_checked_like_the_flags(self, argv, overrides, message,
+                                                                  tmp_path, capsys):
+        import json
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(overrides, fh)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--config", cfg_path])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

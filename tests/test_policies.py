@@ -3,6 +3,7 @@ instances, structural invariants, the proxy-cost reconstruction, and
 pinned outputs of every policy."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from flowtarget.instances import (
     sample_arrivals,
     zero_cost_two_target_instance,
 )
-from flowtarget.oracle import proxy_cost_decomposition
+from flowtarget.oracle import cumulative_proxy_cost, proxy_cost_decomposition
 from flowtarget.policies import PROXY_NA, POLICIES, _chain_solver, myopic_epoch_targets
 from flowtarget.solver import solve_box_convex
 
@@ -726,3 +727,36 @@ class TestPolicyDigestBattery:
             for cost in (r.assignment_cost, r.deviation_cost, r.total_cost):
                 h.update(float(cost).hex().encode())
         assert h.hexdigest() == self.PINNED[K, policy]
+
+
+class TestTracesOff:
+    """``PolicyConfig(traces=False)``, the harness's runs: no trace, and
+    every other output bit for bit the traced run's."""
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    @pytest.mark.parametrize("policy", BATTERY_POLICIES)
+    def test_outputs_equal_the_traced_run(self, policy, K):
+        for seed in range(30):
+            inst, omega, cfg = battery_problem(seed, K)
+            off = POLICIES[policy](inst, omega, replace(cfg, traces=False))
+            on = POLICIES[policy](inst, omega, cfg)
+            assert off.mu_trace is None and off.a_trace is None and off.proxy_decisions is None
+            assert on.mu_trace is not None and on.a_trace is not None
+            for name in ("decisions", "epoch_consumption", "by_type_final", "running_avg",
+                         "abs_deviation"):
+                a, b = getattr(off, name), getattr(on, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (seed, name)
+            for name in ("assignment_cost", "deviation_cost", "total_cost", "eta"):
+                assert float(getattr(off, name)).hex() == float(getattr(on, name)).hex(), (seed, name)
+
+    def test_trace_readers_reject_an_untraced_run(self, tmp_path):
+        inst, omega, cfg = battery_problem(3, 3)
+        r = run_proxy_dual_gd(inst, omega, replace(cfg, traces=False))
+        with pytest.raises(ValueError, match="no mu_trace"):
+            export_trace_csv(str(tmp_path / "trace.csv"), inst, omega, r)
+        assert not (tmp_path / "trace.csv").exists()
+        with pytest.raises(ValueError, match="proxy decisions"):
+            proxy_cost_decomposition(inst, r)
+        with pytest.raises(ValueError, match="proxy decisions"):
+            cumulative_proxy_cost(inst, r, 0)
