@@ -349,14 +349,22 @@ def mle_gradient(probs: np.ndarray, locations: np.ndarray, rate: float,
     and resource axes only, so each batch row gets exactly its unbatched
     values. The likelihood is a float for 1-D ``probs``, else ``(R,)``.
     """
+    lam, inner, grad_c = _mle_terms(probs, locations, rate, mean_counts)
+    nll = lam.sum(axis=-1) - (mean_counts * np.log(lam)).sum(axis=-1)
+    return (float(nll) if probs.ndim == 1 else nll), rate * inner, grad_c
+
+
+def _mle_terms(probs, locations, rate, mean_counts):
+    """The Poisson rates ``lam`` (floored at 1e-300), the type-mix gradient
+    before its ``rate`` factor, and the location gradient: the terms of
+    :func:`mle_gradient` that a descent step reads."""
     w = softmin_weights(locations)                         # (..., n, m)
     lam = rate * (probs[..., None] * w).sum(axis=-2)       # (..., m)
     lam = np.maximum(lam, 1e-300)
-    nll = lam.sum(axis=-1) - (mean_counts * np.log(lam)).sum(axis=-1)
     resid = 1.0 - mean_counts / lam                        # (..., m)
     inner = (w * resid[..., None, :]).sum(axis=-1)         # (..., n)
     grad_c = rate * probs[..., None] * w * (inner[..., None] - resid[..., None, :])
-    return (float(nll) if probs.ndim == 1 else nll), rate * inner, grad_c
+    return lam, inner, grad_c
 
 
 def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
@@ -372,8 +380,12 @@ def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
     type probabilities projected to the simplex) over random restarts. Each
     restart draws its start from its own random stream; the restarts then
     descend together as one batch, ``iters`` steps in all, and no sum mixes
-    two restarts, so each ends exactly where it would alone. The
-    per-interval arrival rate is estimated as the mean interval total.
+    two restarts, so each ends exactly where it would alone. A step reads
+    only the gradients: the loop takes them from the helper that
+    :func:`mle_gradient` also calls, without the likelihood (evaluated once,
+    at the end) or, with one type, the type-mix gradient, and clips through
+    ``np.minimum``/``np.maximum``, which give ``np.clip``'s values for less.
+    The per-interval arrival rate is estimated as the mean interval total.
     Returns the first restart with the highest likelihood.
     """
     lo, hi = bounds
@@ -404,10 +416,10 @@ def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
         if n_types > 1:
             p[r] = rng.dirichlet(np.ones(n_types))
     for _ in range(iters):
-        _, gp, gc = mle_gradient(p, c, rate, mean_counts)
-        c = np.clip(c - step * gc, lo, hi)
+        _, inner, gc = _mle_terms(p, c, rate, mean_counts)
+        c = np.minimum(np.maximum(c - step * gc, lo), hi)
         if n_types > 1:
-            p = project_simplex(p - step * gp)
+            p = project_simplex(p - step * (rate * inner))
     nll, _, _ = mle_gradient(p, c, rate, mean_counts)
     finite = np.flatnonzero(nll < np.inf)
     if len(finite) == 0:

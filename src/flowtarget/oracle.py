@@ -26,6 +26,14 @@ primal values) runs over blocks of :data:`DUAL_BLOCK` steps. A
 brute-force enumerator over integral assignment sequences serves as the
 test oracle on tiny instances. Every deviation charge here is
 :meth:`~flowtarget.core.DevGrid.charge`, at ``core``'s epoch-end periods.
+
+Each dual step works on ``(cells, m)`` arrays of a few columns, where
+numpy's fancy indexing, boolean masks and short-axis reductions cost more
+than the arithmetic they do. The backend therefore gathers and scatters
+with ``take``, ``put`` and assignments at flat indices computed once per
+solve. With fewer than 8 columns it sums each row column by column: numpy
+adds rows that short left to right, so the sums are the same. From 8
+entries on numpy sums pairwise, so longer rows keep the row sum.
 """
 
 from __future__ import annotations
@@ -169,11 +177,24 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
 def _project_cell_simplex(v: np.ndarray) -> np.ndarray:
     """Project each row of ``v`` onto {s >= 0, sum(s) <= 1} (reject as slack):
     rows whose clipped sum is at most 1 are clipped at 0, the others go to
-    :func:`~flowtarget.solver.project_simplex`."""
+    :func:`~flowtarget.solver.project_simplex`.
+
+    With fewer than 8 columns the clipped sums add column by column: numpy
+    adds a row that short left to right, so the sums are the same (up to
+    the sign of a zero), at a fraction of the cost of a row sum over many
+    short rows. From 8 columns on numpy sums pairwise, so the row sum
+    stays."""
     clipped = np.maximum(v, 0.0)
-    outside = clipped.sum(axis=-1) > 1.0
-    if outside.any():
-        clipped[outside] = project_simplex(v[outside])
+    m = v.shape[-1]
+    if m < 8:
+        total = clipped[:, 0]
+        for k in range(1, m):
+            total = total + clipped[:, k]
+    else:
+        total = clipped.sum(axis=-1)
+    outside = (total > 1.0).nonzero()[0]
+    if len(outside):
+        clipped[outside] = project_simplex(v.take(outside, axis=0))
     return clipped
 
 
@@ -214,36 +235,49 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     arithmetic as one step's, and each per-step total sums one contiguous
     row, which numpy groups as it groups the one step's array, so every
     output keeps its bits.
+
+    The per-step arrays are ``(cells, m)`` with m small, a shape on which
+    numpy's fancy indexing (``priced[ww]``, ``adj[cells, best_i]``,
+    ``buf[:, rows] = ...``), boolean masks and row sums cost several times
+    the arithmetic. So each step gathers with ``take``, zeroes the dead
+    multipliers and infeasible shares with ``put`` at flat indices (skipped
+    when there are none), and scatters into the full-layout buffers by
+    assignment at flat positions; the indices are computed once per solve.
+    The projection sums each row of fewer than 8 shares column by column,
+    the order numpy adds such rows in; from 8 on numpy's pairwise sum
+    groups them otherwise, so the row sum stays there.
     """
     grid, dens = instance.dev_grid.rows(window), instance.epoch_periods[window]
     n_eff, m = costs.shape
     W = len(window)
     dens_col = dens[:, None]
-    dead = ~((grid.d_plus > 0.0) | (grid.d_minus > 0.0))
+    dead = np.flatnonzero(~((grid.d_plus > 0.0) | (grid.d_minus > 0.0)))  # flat, in a (W, m) array
     jj, ww = np.nonzero(caps > 0)
     n_cells = len(jj)
-    cell_idx = np.arange(n_cells)
     rows = jj * W + ww  # each cell's row in the full (n * W, ...) layout
     whole = n_cells == n_eff * W  # the cell arrays already have the full layout
     ww_m = ww * m
-    cell_m = cell_idx * m
+    cell_m = np.arange(n_cells) * m  # flat offset of each cell's row in a (cells, m) array
     caps_c = caps[jj, ww].astype(float)
     caps_col = caps_c[:, None]
     cost_c = np.where(feas, costs, 0.0)[jj]
     cost_inf = np.where(feas, costs, np.inf)[jj]
-    infeasible = ~feas[jj]
+    infeasible = np.flatnonzero(~feas[jj])  # flat, in a (cells, m) array
     cell_bins = (ww_m[:, None] + np.arange(m)).ravel()
     table = dev_price_table(grid.is_squared, grid.target, grid.d_plus, grid.d_minus)
     value_buf = np.zeros((DUAL_BLOCK, n_eff * W))
     full_buf = np.zeros((DUAL_BLOCK, n_eff * W, m))
+    # flat positions of the cells in those buffers, step after step, so that
+    # one assignment to a stack's first positions scatters its steps
+    value_at = (np.arange(DUAL_BLOCK)[:, None] * (n_eff * W) + rows).ravel()
+    full_at = (value_at[:, None] * m + np.arange(m)).ravel()
 
-    def full_sums(cell_values, buf):
+    def full_sums(cell_values, buf, at):
         """Per-step totals of stacked ``(steps, cells, ...)`` values."""
         steps = len(cell_values)
         if not whole:
-            buf = buf[:steps]
-            buf[:, rows] = cell_values
-            cell_values = buf
+            buf.reshape(-1)[at[:cell_values.size]] = cell_values.ravel()
+            cell_values = buf[:steps]
         return cell_values.reshape(steps, -1).sum(axis=1)
 
     def averages(counts):
@@ -252,7 +286,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
 
     def counts_values(counts, avgs):
         """Objective of stacked counts and their averages."""
-        return full_sums(counts * cost_c, full_buf) + grid.charge(dens, avgs)
+        return full_sums(counts * cost_c, full_buf, full_at) + grid.charge(dens, avgs)
 
     def counts_value(counts):
         return float(counts_values(counts[None], averages(counts)[None])[0])
@@ -279,16 +313,17 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                 priced = mu[::-1].cumsum(axis=0)[::-1]  # price for epoch w sums rows >= w
                 # inner minimization: each cell's availability goes to its
                 # cheapest price-adjusted option, or is rejected
-                adj = cost_inf - priced[ww]
+                adj = cost_inf - priced.take(ww, axis=0)
                 best_i = adj.argmin(axis=1)
-                best_v = adj[cell_idx, best_i]
+                best_v = adj.take(cell_m + best_i)
                 took = np.where(best_v <= 0.0, caps_c, 0.0)  # count assigned to best_i
                 per_cum = np.bincount(ww_m + best_i, weights=took,
                                       minlength=W * m).reshape(W, m).cumsum(axis=0)
                 a_star = min_dev_plus_price(table, mu)
                 block.append((mu, a_star, best_i, best_v, took))
                 g = dens_col * a_star - prior - per_cum
-                g[dead] = 0.0
+                if len(dead):
+                    g.put(dead, 0.0)
                 norm = float(np.sqrt((g * g).sum()))
                 if norm == 0.0:
                     stalled = True
@@ -296,7 +331,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                 mu = mu + (step_r / np.sqrt(s)) * (g / norm)
 
             mus, a_stars, best_is, best_vs, tooks = map(np.array, zip(*block))
-            duals = full_sums(caps_c * np.where(best_vs <= 0.0, best_vs, 0.0), value_buf) \
+            duals = full_sums(caps_c * np.where(best_vs <= 0.0, best_vs, 0.0), value_buf, value_at) \
                 + (dens_col * (grid.evaluate(a_stars) + mus * a_stars)).sum(axis=(1, 2)) \
                 - (mus * prior).sum(axis=(1, 2))
             for k, dual in enumerate(duals.tolist()):
@@ -323,7 +358,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
                         avg_n = 0
             if stalled:
                 counts = np.zeros((n_cells, m))
-                counts[cell_idx, best_i] = took
+                counts.put(cell_m + best_i, took)
                 val = counts_value(counts)
                 if best_avg is None or val < best_avg[0]:
                     best_avg = (val, counts)
@@ -346,14 +381,16 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
             block = []
             for it in range(it + 1, min(it + DUAL_BLOCK, per_round) + 1):
                 tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]  # sum over w' >= w
-                grad = caps_col * (cost_c + tail[ww])
-                grad[infeasible] = 0.0
-                nrm = float(np.sqrt(full_sums((grad * grad)[None], full_buf)[0]))
+                grad = caps_col * (cost_c + tail.take(ww, axis=0))
+                if len(infeasible):
+                    grad.put(infeasible, 0.0)
+                nrm = float(np.sqrt(full_sums((grad * grad)[None], full_buf, full_at)[0]))
                 if nrm == 0.0:
                     done = True
                     break
                 shares = _project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
-                shares[infeasible] = 0.0
+                if len(infeasible):
+                    shares.put(infeasible, 0.0)
                 counts = caps_col * shares
                 avg = averages(counts)
                 block.append((shares, counts, avg))

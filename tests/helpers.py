@@ -262,6 +262,18 @@ def legacy_min_dev_plus_price(is_squared, target, d_plus, d_minus, price):
     return np.where(is_squared, sq, pl)
 
 
+def reference_project_simplex(p):
+    """Frozen copy of ``solver.project_simplex`` as it stood when it ranked
+    the sorted rows with axis-wise ``cumsum`` and ``sum`` calls, kept as a
+    bit-for-bit reference."""
+    rows = np.atleast_2d(p)
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    css = u.cumsum(axis=-1) - 1.0
+    rho = np.maximum((u - css / np.arange(1, rows.shape[-1] + 1) > 0).sum(axis=-1), 1)
+    theta = css[np.arange(len(rows)), rho - 1] / rho
+    return np.maximum(p - theta.reshape(p.shape[:-1] + (1,)), 0.0)
+
+
 def reference_project_cell_simplex(v):
     """Frozen copy of the oracle's projection of each row onto
     {s >= 0, sum(s) <= 1}, used by :func:`reference_dual_subgradient`."""

@@ -258,12 +258,15 @@ class TestMle:
 
     @pytest.mark.parametrize("n_types", [1, 3])
     def test_batched_restarts_match_one_at_a_time(self, n_types):
-        from flowtarget.solver import project_simplex
+        # The reference loop steps through mle_gradient, np.clip and the
+        # frozen simplex projection, independently of the batched loop's code.
+        from helpers import reference_project_simplex
         model = GumbelCostModel(locations=np.array([[-0.8, 0.9], [0.6, -0.5], [0.1, 1.0]]),
                                 probs=np.array([0.8, 0.15, 0.05]), rate=3.0)
         obs = generate_observations(model, 400, seed=3)
         rate, mean_counts = float(obs.arrivals.mean()), obs.counts.mean(axis=0)
         res = estimate_gumbel_mle(obs, n_types=n_types, restarts=4, iters=120, step=0.3, seed=9)
+        ends = []
         for r in range(4):
             rng = rng_stream(9, "restarts", r)
             c = rng.uniform(-3.0, 3.0, size=(n_types, 2))
@@ -272,9 +275,13 @@ class TestMle:
                 _, gp, gc = mle_gradient(p, c, rate, mean_counts)
                 c = np.clip(c - 0.3 * gc, -50.0, 50.0)
                 if n_types > 1:
-                    p = project_simplex(p - 0.3 * gp)
+                    p = reference_project_simplex(p - 0.3 * gp)
             assert res.restart_lls[r] == -mle_gradient(p, c, rate, mean_counts)[0]
+            ends.append((p, c))
         assert res.restart_lls.max() > res.restart_lls.min()
+        p, c = ends[int(np.argmax(res.restart_lls))]
+        assert res.locations.tobytes() == c.tobytes()
+        assert res.probs.tobytes() == p.tobytes()
 
     def test_quick_recovery_from_sampled_counts(self):
         locs = np.array([[-0.33, 1.27, 0.21]])

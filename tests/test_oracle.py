@@ -37,7 +37,13 @@ from flowtarget.oracle import (
     validate_solution,
 )
 from flowtarget.policies import POLICIES
-from helpers import reference_dual_subgradient, reference_project_cell_simplex, reference_proxy_costs
+from flowtarget.solver import project_simplex
+from helpers import (
+    reference_dual_subgradient,
+    reference_project_cell_simplex,
+    reference_project_simplex,
+    reference_proxy_costs,
+)
 
 
 def constant_omega(T):
@@ -329,7 +335,8 @@ class TestProjectCellSimplex:
         v = np.array([[2.0], [-1.0], [0.3], [1.0]])
         np.testing.assert_array_equal(oracle_mod._project_cell_simplex(v), [[1.0], [0.0], [0.3], [1.0]])
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    # m < 8 sums the clipped rows column by column, m >= 8 takes numpy's row sum
+    @pytest.mark.parametrize("m", range(1, 10))
     def test_bytes_match_frozen_projection(self, m):
         rng = np.random.default_rng(100 + m)
         v = np.vstack([
@@ -338,9 +345,14 @@ class TestProjectCellSimplex:
             rng.integers(-6, 12, size=(2000, m)) / 3.0,  # ties whose thresholds round
             np.repeat(rng.uniform(0.0, 1.0, size=(500, 1)), m, axis=1),  # every entry tied
             rng.standard_normal((2000, m)) * 10.0 ** rng.integers(-12, 22, size=(2000, 1)),
+            # signed zeros among entries that sum to 1 or just past it
+            rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0, -0.5], size=(2000, m)),
+            np.full((1, m), -0.0),
         ])
         got = oracle_mod._project_cell_simplex(v.copy())
         assert got.tobytes() == reference_project_cell_simplex(v.copy()).tobytes()
+        assert project_simplex(v).tobytes() == reference_project_simplex(v).tobytes()
+        assert project_simplex(v[7]).tobytes() == reference_project_simplex(v[7]).tobytes()
 
 
 class TestCumulativeProxyCost:
