@@ -177,13 +177,9 @@ def _solve_exact_lp(instance, costs, feas, caps, window, prior):
 def _project_cell_simplex(v: np.ndarray) -> np.ndarray:
     """Project each row of ``v`` onto {s >= 0, sum(s) <= 1} (reject as slack):
     rows whose clipped sum is at most 1 are clipped at 0, the others go to
-    :func:`~flowtarget.solver.project_simplex`.
-
-    With fewer than 8 columns the clipped sums add column by column: numpy
-    adds a row that short left to right, so the sums are the same (up to
-    the sign of a zero), at a fraction of the cost of a row sum over many
-    short rows. From 8 columns on numpy sums pairwise, so the row sum
-    stays."""
+    :func:`~flowtarget.solver.project_simplex`. Rows of fewer than 8 entries
+    are summed column by column, the order numpy adds them in (the module
+    docstring says why)."""
     clipped = np.maximum(v, 0.0)
     m = v.shape[-1]
     if m < 8:
