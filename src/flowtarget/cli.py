@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument("--eta-mult", type=_finite_positive, default=1.0)
     _add_oracle(p)
-    p.add_argument("--workers", type=_nonnegative_int, default=0, help="0 = one per CPU")
+    p.add_argument("--workers", type=_nonnegative_int, default=0, help="0 = one per usable CPU")
     p.add_argument("--scaling-report", action="store_true",
                    help="print the regret-vs-T report after the sweep")
 

@@ -173,9 +173,16 @@ class DevGrid:
     d_plus: np.ndarray      # (K, m); holds delta for squared
     d_minus: np.ndarray     # (K, m)
     has_squared: bool = field(init=False, repr=False, compare=False)
+    all_squared: bool = field(init=False, repr=False, compare=False)
+    # the subgradient's branch weights, -d- and 2 d+, formed once per grid
+    neg_d_minus: np.ndarray = field(init=False, repr=False, compare=False)
+    two_d_plus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "has_squared", bool(self.is_squared.any()))
+        object.__setattr__(self, "all_squared", bool(self.is_squared.all()))
+        object.__setattr__(self, "neg_d_minus", -self.d_minus)
+        object.__setattr__(self, "two_d_plus", 2.0 * self.d_plus)
 
     @classmethod
     def from_costs(cls, dev_costs: Sequence[Sequence[DeviationCost]]) -> "DevGrid":
@@ -208,11 +215,16 @@ class DevGrid:
         return np.where(self.is_squared, self.d_plus * gap * gap, pl)
 
     def subgradient(self, a: np.ndarray) -> np.ndarray:
+        """A subgradient of each cell's cost at ``a``: ``2 d+ (a - target)``
+        on squared cells (the only branch built on an all-squared grid),
+        ``d+``, ``-d-`` or 0 by the sign of ``a - target`` elsewhere."""
         gap = a - self.target
-        pl = np.where(gap > 0.0, self.d_plus, np.where(gap < 0.0, -self.d_minus, 0.0))
+        if self.all_squared:
+            return self.two_d_plus * gap
+        pl = np.where(gap > 0.0, self.d_plus, np.where(gap < 0.0, self.neg_d_minus, 0.0))
         if not self.has_squared:
             return pl
-        return np.where(self.is_squared, 2.0 * self.d_plus * gap, pl)
+        return np.where(self.is_squared, self.two_d_plus * gap, pl)
 
     def charge(self, periods: np.ndarray, avg: np.ndarray):
         """``sum_ki periods_k * g_ki(avg_ki)`` of a (K, m) grid of running

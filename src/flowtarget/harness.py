@@ -43,7 +43,7 @@ class ExperimentConfig:
     gap_tol: float = 1e-6
     instance_file: Optional[str] = None
     params: SyntheticParams = field(default_factory=SyntheticParams)
-    workers: int = 0  # 0 = one per CPU (capped at 8)
+    workers: int = 0  # 0 = one per usable CPU (capped at 8)
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -53,7 +53,7 @@ class ExperimentConfig:
         if not 0.0 <= self.gap_tol < np.inf:
             raise ValueError(f"gap_tol must be finite and nonnegative, got {self.gap_tol}")
         if self.workers < 0:
-            raise ValueError(f"workers must be nonnegative (0 = one per CPU), got {self.workers}")
+            raise ValueError(f"workers must be nonnegative (0 = one per usable CPU), got {self.workers}")
         for name in self.policies:
             if name not in POLICIES:
                 raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICIES)}")
@@ -164,6 +164,14 @@ def _run_replication(args) -> list[MetricsRow]:
     return rows
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """Run the sweep, write per-replication and aggregate CSVs, and return
     summary info (paths, number of flagged rows)."""
@@ -171,7 +179,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     tasks = [(config, T, d, g, rep)
              for T in config.T_values for d in config.deltas for g in config.gammas
              for rep in range(config.reps)]
-    workers = config.workers or min(multiprocessing.cpu_count(), 8)
+    workers = config.workers or min(usable_cpus(), 8)
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_run_replication, tasks, chunksize=max(1, len(tasks) // (8 * workers)))

@@ -33,11 +33,17 @@ than the arithmetic they do. The backend therefore gathers and scatters
 with ``take``, ``put`` and assignments at flat indices computed once per
 solve. With fewer than 8 columns it sums each row column by column: numpy
 adds rows that short left to right, so the sums are the same. From 8
-entries on numpy sums pairwise, so longer rows keep the row sum.
+entries on numpy sums pairwise, so longer rows keep the row sum. The
+step's scalars (``c / sqrt(s)`` and the norms) are ``math.sqrt`` of Python
+floats, which rounds as ``np.sqrt`` does without its per-call cost, and the
+per-epoch and per-cell operands of a step's arithmetic are stored at the
+step arrays' full shape, because broadcasting costs more than the
+arithmetic here; each element's operation is the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,20 +248,29 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     The projection sums each row of fewer than 8 shares column by column,
     the order numpy adds such rows in; from 8 on numpy's pairwise sum
     groups them otherwise, so the row sum stays there.
+
+    The polish sums its one-step norm over the full layout directly, the
+    same contiguous row ``full_sums`` sums per step of a stack. The assigned
+    counts are ``caps * (best_v <= 0)``: the availabilities are finite, so
+    the product equals a ``where``, which the dual values keep because
+    ``best_v`` is +inf on a cell with no feasible resource.
     """
     grid, dens = instance.dev_grid.rows(window), instance.epoch_periods[window]
     n_eff, m = costs.shape
     W = len(window)
-    dens_col = dens[:, None]
+    # full-shape copies of the broadcast operands (the module docstring says why)
+    dens_wm = np.repeat(dens[:, None], m, axis=1)
+    prior_wm = np.repeat(prior[None], W, axis=0)
     dead = np.flatnonzero(~((grid.d_plus > 0.0) | (grid.d_minus > 0.0)))  # flat, in a (W, m) array
     jj, ww = np.nonzero(caps > 0)
     n_cells = len(jj)
     rows = jj * W + ww  # each cell's row in the full (n * W, ...) layout
     whole = n_cells == n_eff * W  # the cell arrays already have the full layout
     ww_m = ww * m
+    ww_rev = W - 1 - ww  # each cell's row in an array of epochs in reverse order
     cell_m = np.arange(n_cells) * m  # flat offset of each cell's row in a (cells, m) array
     caps_c = caps[jj, ww].astype(float)
-    caps_col = caps_c[:, None]
+    caps_cm = np.repeat(caps_c[:, None], m, axis=1)
     cost_c = np.where(feas, costs, 0.0)[jj]
     cost_inf = np.where(feas, costs, np.inf)[jj]
     infeasible = np.flatnonzero(~feas[jj])  # flat, in a (cells, m) array
@@ -267,6 +282,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
     # one assignment to a stack's first positions scatters its steps
     value_at = (np.arange(DUAL_BLOCK)[:, None] * (n_eff * W) + rows).ravel()
     full_at = (value_at[:, None] * m + np.arange(m)).ravel()
+    full_flat0, full_at0 = full_buf[0].reshape(-1), full_at[:n_cells * m]  # one step's slab
 
     def full_sums(cell_values, buf, at):
         """Per-step totals of stacked ``(steps, cells, ...)`` values."""
@@ -276,9 +292,17 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
             cell_values = buf[:steps]
         return cell_values.reshape(steps, -1).sum(axis=1)
 
+    def full_sum(cell_values):
+        """Total of one step's ``(cells, m)`` values, summed as
+        ``full_sums`` sums each step of a stack."""
+        if whole:
+            return cell_values.sum()
+        full_flat0[full_at0] = cell_values.ravel()
+        return full_flat0.sum()
+
     def averages(counts):
         per_epoch = np.bincount(cell_bins, weights=counts.ravel(), minlength=W * m)
-        return (prior + per_epoch.reshape(W, m).cumsum(axis=0)) / dens_col
+        return (prior_wm + per_epoch.reshape(W, m).cumsum(axis=0)) / dens_wm
 
     def counts_values(counts, avgs):
         """Objective of stacked counts and their averages."""
@@ -306,30 +330,30 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         while s < per_round and not stalled:
             block = []
             for s in range(s + 1, min(s + DUAL_BLOCK, per_round) + 1):
-                priced = mu[::-1].cumsum(axis=0)[::-1]  # price for epoch w sums rows >= w
                 # inner minimization: each cell's availability goes to its
-                # cheapest price-adjusted option, or is rejected
-                adj = cost_inf - priced.take(ww, axis=0)
+                # cheapest price-adjusted option, or is rejected; the price
+                # for epoch w sums rows >= w, row W - 1 - w of the reversed cumsum
+                adj = cost_inf - mu[::-1].cumsum(axis=0).take(ww_rev, axis=0)
                 best_i = adj.argmin(axis=1)
                 best_v = adj.take(cell_m + best_i)
-                took = np.where(best_v <= 0.0, caps_c, 0.0)  # count assigned to best_i
+                took = caps_c * (best_v <= 0.0)  # count assigned to best_i
                 per_cum = np.bincount(ww_m + best_i, weights=took,
                                       minlength=W * m).reshape(W, m).cumsum(axis=0)
                 a_star = min_dev_plus_price(table, mu)
                 block.append((mu, a_star, best_i, best_v, took))
-                g = dens_col * a_star - prior - per_cum
+                g = dens_wm * a_star - prior_wm - per_cum
                 if len(dead):
                     g.put(dead, 0.0)
-                norm = float(np.sqrt((g * g).sum()))
+                norm = math.sqrt((g * g).sum())
                 if norm == 0.0:
                     stalled = True
                     break
-                mu = mu + (step_r / np.sqrt(s)) * (g / norm)
+                mu = mu + (step_r / math.sqrt(s)) * (g / norm)
 
             mus, a_stars, best_is, best_vs, tooks = map(np.array, zip(*block))
             duals = full_sums(caps_c * np.where(best_vs <= 0.0, best_vs, 0.0), value_buf, value_at) \
-                + (dens_col * (grid.evaluate(a_stars) + mus * a_stars)).sum(axis=(1, 2)) \
-                - (mus * prior).sum(axis=(1, 2))
+                + (dens_wm * (grid.evaluate(a_stars) + mus * a_stars)).sum(axis=(1, 2)) \
+                - (mus * prior_wm).sum(axis=(1, 2))
             for k, dual in enumerate(duals.tolist()):
                 if dual > best_dual:
                     best_dual, best_mu = dual, mus[k]
@@ -362,7 +386,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
 
     # Primal polish: descend the true objective over per-cell shares.
     best_primal, counts0 = best_avg
-    shares = counts0 / caps_col
+    shares = counts0 / caps_cm
     best_shares = shares.copy()
     rounds, step0 = 8, 0.5
     per_round = max(recover_iters // rounds, 1)
@@ -371,23 +395,23 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         if done:
             break
         shares = best_shares.copy()
-        avg = averages(caps_col * shares)
+        avg = averages(caps_cm * shares)
         it = 0
         while it < per_round and not done:
             block = []
             for it in range(it + 1, min(it + DUAL_BLOCK, per_round) + 1):
-                tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]  # sum over w' >= w
-                grad = caps_col * (cost_c + tail.take(ww, axis=0))
+                tail = grid.subgradient(avg)[::-1].cumsum(axis=0)  # sums over w' >= w, reversed
+                grad = caps_cm * (cost_c + tail.take(ww_rev, axis=0))
                 if len(infeasible):
                     grad.put(infeasible, 0.0)
-                nrm = float(np.sqrt(full_sums((grad * grad)[None], full_buf, full_at)[0]))
+                nrm = math.sqrt(full_sum(grad * grad))
                 if nrm == 0.0:
                     done = True
                     break
-                shares = _project_cell_simplex(shares - (step0 / np.sqrt(it)) * grad / nrm)
+                shares = _project_cell_simplex(shares - (step0 / math.sqrt(it)) * grad / nrm)
                 if len(infeasible):
                     shares.put(infeasible, 0.0)
-                counts = caps_col * shares
+                counts = caps_cm * shares
                 avg = averages(counts)
                 block.append((shares, counts, avg))
             if not block:
@@ -402,7 +426,7 @@ def _solve_dual_subgradient(instance, costs, feas, caps, window, prior,
         step0 *= 0.3
 
     z = np.zeros((n_eff, m, instance.K))
-    z[jj, :, np.asarray(window)[ww]] = caps_col * best_shares
+    z[jj, :, np.asarray(window)[ww]] = caps_cm * best_shares
     return float(best_primal), float(best_dual), z
 
 

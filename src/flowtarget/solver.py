@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,11 +62,13 @@ def solve_box_convex(
     iterates on piecewise-linear objectives. Convergence is declared on a
     vanishing subgradient or when the final, finest sweep improves the
     incumbent by less than ``tol``; the best iterate found within the
-    budget is returned either way.
+    budget is returned either way. The callbacks must not modify their
+    argument: each step's iterate is a fresh array, kept as the incumbent
+    without a copy.
     """
     # np.minimum(np.maximum(.)) gives np.clip's values without its wrapper's cost
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
-    best_x = x.copy()
+    best_x = x
     best_f = float(objective(x))
     per_round = max(budget // max(rounds, 1), 1)
     used = 0
@@ -76,21 +79,21 @@ def solve_box_convex(
         if used >= budget or converged:
             break
         f_enter = best_f
-        x = best_x.copy()
+        x = best_x
         for s in range(1, per_round + 1):
             if used >= budget:
                 break
             g = np.asarray(subgrad(x), dtype=float)
-            norm = float(np.sqrt((g * g).sum()))
+            norm = math.sqrt((g * g).sum())
             used += 1
             if norm == 0.0:
                 converged = True
                 break
-            x = np.minimum(np.maximum(x - (step_r / np.sqrt(s)) * (g / norm), lo), hi)
+            x = np.minimum(np.maximum(x - (step_r / math.sqrt(s)) * (g / norm), lo), hi)
             f = float(objective(x))
             if f < best_f:
                 best_f = f
-                best_x = x.copy()
+                best_x = x
         improvement = f_enter - best_f
         step_r *= 0.3
     # Stagnation of a coarse sweep is not convergence; only the final,
@@ -324,14 +327,28 @@ def project_simplex(p: np.ndarray) -> np.ndarray:
     above ``(u_1 + ... + u_r - 1) / r``, at least one. The last rank that
     passes differs only where rounding breaks the test's prefix order (entries
     beyond about 1e16), and there it can land far off: ``[1e20, 1]`` -> ``[5e19, 0]``."""
-    rows = np.atleast_2d(p)
-    n, m = rows.shape
+    if p.ndim == 1:
+        return project_simplex(p[None])[0]
+    n, m = p.shape
     # Column by column: on the transposed (m, n) copy the prefix sums and the
     # rank count add whole sorted columns. A cumsum adds in order along any
     # axis and the count is an integer, so the values are those of the
     # row-wise calls, which pay numpy's per-row cost on each of n short rows.
-    u = np.sort(rows, axis=-1).T[::-1].copy()
-    css = u.cumsum(axis=0) - 1.0
-    rho = np.maximum((u - css / np.arange(1.0, m + 1)[:, None] > 0).sum(axis=0), 1)
-    theta = css.take((rho - 1) * n + np.arange(n)) / rho
-    return np.maximum(p - theta.reshape(p.shape[:-1] + (1,)), 0.0)
+    # ``u > q`` is ``u - q > 0`` (with gradual underflow a difference rounds
+    # to zero only between equal floats), one array fewer.
+    u = np.sort(p).T[::-1].copy()
+    css = u.cumsum(axis=0)
+    css -= 1.0
+    ratio = css / _rank_divisors(m)
+    rho = np.maximum((u > ratio).sum(axis=0), 1)
+    theta = ratio.take(rho * n + np.arange(-n, 0))  # css / rho: row rho - 1 of each column
+    return np.maximum(p - theta[:, None], 0.0)
+
+
+@lru_cache
+def _rank_divisors(m: int) -> np.ndarray:
+    """The ranks 1..m as a read-only float column, the divisors of the
+    projection's rank test."""
+    ranks = np.arange(1.0, m + 1)[:, None]
+    ranks.setflags(write=False)
+    return ranks

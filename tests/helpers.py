@@ -101,6 +101,44 @@ def random_composite(seed, d, n_terms=4, allow_squared=True):
     return f, sub, f_batch
 
 
+def reference_solve_box_convex(objective, subgrad, x0, lo=0.0, hi=1.0, budget=2000,
+                               tol=1e-9, rounds=6, step0=1.0):
+    """Frozen copy of ``solver.solve_box_convex`` as it stood when it took
+    its square roots with ``np.sqrt`` and copied every new incumbent, kept
+    as a bit-for-bit reference. Returns ``(x, objective, iterations,
+    converged)``."""
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    best_x = x.copy()
+    best_f = float(objective(x))
+    per_round = max(budget // max(rounds, 1), 1)
+    used = 0
+    converged = False
+    improvement = np.inf
+    step_r = step0
+    for _ in range(max(rounds, 1)):
+        if used >= budget or converged:
+            break
+        f_enter = best_f
+        x = best_x.copy()
+        for s in range(1, per_round + 1):
+            if used >= budget:
+                break
+            g = np.asarray(subgrad(x), dtype=float)
+            norm = float(np.sqrt((g * g).sum()))
+            used += 1
+            if norm == 0.0:
+                converged = True
+                break
+            x = np.minimum(np.maximum(x - (step_r / np.sqrt(s)) * (g / norm), lo), hi)
+            f = float(objective(x))
+            if f < best_f:
+                best_f = f
+                best_x = x.copy()
+        improvement = f_enter - best_f
+        step_r *= 0.3
+    return best_x, best_f, used, converged or improvement < tol
+
+
 def legacy_chain_prefix_argmin(tau, d_plus, d_minus, nu):
     """Frozen copy of the piecewise-linear-only prefix DP that preceded the
     piecewise-quadratic one, kept as a bit-for-bit reference: value-to-go
@@ -291,6 +329,17 @@ def reference_project_cell_simplex(v):
     return clipped
 
 
+def reference_dev_subgradient(grid, a):
+    """Frozen copy of ``core.DevGrid.subgradient`` as it stood when it built
+    both branches on every grid, used by :func:`reference_dual_subgradient`
+    so that an edit to the live method cannot move the reference with it."""
+    gap = a - grid.target
+    pl = np.where(gap > 0.0, grid.d_plus, np.where(gap < 0.0, -grid.d_minus, 0.0))
+    if not grid.is_squared.any():
+        return pl
+    return np.where(grid.is_squared, 2.0 * grid.d_plus * gap, pl)
+
+
 def reference_dual_subgradient(instance, costs, feas, caps, window, prior,
                                iterations, step_scale, gap_rel, gap_abs,
                                recover_iters=2400):
@@ -405,7 +454,7 @@ def reference_dual_subgradient(instance, costs, feas, caps, window, prior,
         shares = best_shares.copy()
         avg = averages(caps_col * shares)
         for it in range(1, per_round + 1):
-            tail = grid.subgradient(avg)[::-1].cumsum(axis=0)[::-1]
+            tail = reference_dev_subgradient(grid, avg)[::-1].cumsum(axis=0)[::-1]
             grad = caps_col * (cost_c + tail[ww])
             grad[infeasible] = 0.0
             nrm = float(np.sqrt(full_sum(grad * grad, full_buf)))

@@ -18,6 +18,7 @@ from flowtarget import (
     uniform_dev_costs,
 )
 from flowtarget.cli import main as cli_main
+from flowtarget import harness
 from flowtarget.harness import (
     epoch_acceptance_fraction,
     read_csv_rows,
@@ -119,6 +120,21 @@ class TestRunExperiment:
     def test_parallel_matches_serial(self, tmp_path):
         a = run_experiment(small_config(workers=1), str(tmp_path / "serial"))
         b = run_experiment(small_config(workers=2), str(tmp_path / "par"))
+        assert open(a["replications_csv"], "rb").read() == open(b["replications_csv"], "rb").read()
+
+    def test_default_workers_follow_the_affinity_mask(self, tmp_path, monkeypatch):
+        # workers=0 sizes the pool by the CPUs this process may use, not by
+        # the machine's count: pinned to one CPU, the sweep runs serially
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started on one usable CPU")
+
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+        assert harness.usable_cpus() == 1
+        a = run_experiment(small_config(workers=0), str(tmp_path / "pinned"))
+        b = run_experiment(small_config(workers=1), str(tmp_path / "serial"))
         assert open(a["replications_csv"], "rb").read() == open(b["replications_csv"], "rb").read()
 
     def test_offline_lower_bounds_and_aggregates(self, tmp_path):

@@ -485,6 +485,28 @@ class TestDualBackendPinned:
         digest = hashlib.sha256(np.ascontiguousarray(ds.counts).tobytes()).hexdigest()
         assert (ds.objective, ds.dual_bound, digest) == self.PINNED[kind]
 
+    # The gap of these two problems never closes, so a solve runs every
+    # ascent step (dual_iters = 2000, one inner solve each) and every polish
+    # step (the default recover_iters = 2400, one projection each): a
+    # speed-up cannot come from skipped steps.
+    @pytest.mark.parametrize("kind", ["squared", "continuous"])
+    def test_open_gap_solve_runs_every_step(self, kind, monkeypatch):
+        calls = {"min_dev_plus_price": 0, "_project_cell_simplex": 0}
+
+        def counted(name):
+            fn = getattr(oracle_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(oracle_mod, name, wrapper)
+
+        counted("min_dev_plus_price")
+        counted("_project_cell_simplex")
+        ds = pinned_dual_solve(kind)
+        assert ds.gap > oracle_mod.GAP_ABS + oracle_mod.GAP_REL * abs(ds.objective)
+        assert calls == {"min_dev_plus_price": 2000, "_project_cell_simplex": 2400}
+
 
 def pinned_lp_instance(family_mix=True):
     """K = 3, m = 3, n = 3 typed instance: type 2 has no feasible resource,

@@ -20,6 +20,7 @@ from helpers import (
     legacy_min_dev_plus_price,
     random_composite,
     reference_chain_prefix_argmin,
+    reference_solve_box_convex,
 )
 
 
@@ -69,6 +70,38 @@ class TestSolveBoxConvex:
             _, ref = grid_minimize(f_batch, d)
             res = solve_box_convex(f, sub, np.full(d, 0.5), budget=3000)
             assert res.objective <= ref + 1e-3
+
+
+def box_solver_cases():
+    """(objective, subgradient, x0, keyword arguments) of every
+    :class:`TestSolveBoxConvex` case, then 12 random composites (d = 1, 2, 3)."""
+    g = DeviationCost.absolute(1.0, 0.6)
+    cases = [
+        (lambda x: g.evaluate(float(x[0])) + 0.5 * float(x[0]),
+         lambda x: np.array([g.subgradient(float(x[0])) + 0.5]), np.array([0.1]), {}),
+        (lambda x: g.evaluate(float(x[0])) + 2.0 * float(x[0]),
+         lambda x: np.array([g.subgradient(float(x[0])) + 2.0]), np.array([0.9]), {}),
+        (lambda x: 3.0 * float(x.sum()), lambda x: np.full_like(x, 3.0), np.array([0.7, 0.2]), {}),
+        (lambda x: (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.25) ** 2,
+         lambda x: np.array([2.0 * (x[0] - 0.3), 4.0 * (x[1] + 0.25)]), np.array([0.9, 0.9]),
+         dict(budget=8000, rounds=14)),
+        (lambda x: 0.0, lambda x: np.zeros_like(x), np.array([0.4, 0.8]), {}),
+    ]
+    for seed in range(12):
+        d = seed % 3 + 1
+        f, sub, _ = random_composite(1000 * d + seed, d)
+        cases.append((f, sub, np.full(d, 0.5), dict(budget=3000)))
+    return cases
+
+
+class TestSolveBoxConvexReference:
+    @pytest.mark.parametrize("case", range(17))
+    def test_matches_frozen_reference_bit_for_bit(self, case):
+        f, sub, x0, kwargs = box_solver_cases()[case]
+        res = solve_box_convex(f, sub, x0, **kwargs)
+        x, objective, iterations, converged = reference_solve_box_convex(f, sub, x0, **kwargs)
+        assert res.x.tobytes() == x.tobytes()
+        assert (res.objective, res.iterations, res.converged) == (objective, iterations, converged)
 
 
 class TestMinDevPlusPrice:
