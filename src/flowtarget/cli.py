@@ -180,7 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--observations", required=True, help="(interval, resource, ideal_quantity) CSV")
     p.add_argument("--n-types", type=int, default=1)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--iters", type=int, default=10_000)
+    p.add_argument("--iters", type=int, default=10_000,
+                   help="cap on descent steps; the descent stops sooner at an exact "
+                        "(bitwise) fixed point, which gives the result the cap would")
     p.add_argument("--step", type=float, default=0.2)
 
     p = sub.add_parser("transform", help="stationarize a nonstationary profile")

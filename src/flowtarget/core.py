@@ -164,7 +164,7 @@ class DeviationCost:
         raise ValueError(f"unknown deviation family {fam!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DevGrid:
     """Array view of a (K, m) grid of deviation costs, for vectorized math."""
 
@@ -172,11 +172,11 @@ class DevGrid:
     target: np.ndarray      # (K, m)
     d_plus: np.ndarray      # (K, m); holds delta for squared
     d_minus: np.ndarray     # (K, m)
-    has_squared: bool = field(init=False, repr=False, compare=False)
-    all_squared: bool = field(init=False, repr=False, compare=False)
+    has_squared: bool = field(init=False, repr=False)
+    all_squared: bool = field(init=False, repr=False)
     # the subgradient's branch weights, -d- and 2 d+, formed once per grid
-    neg_d_minus: np.ndarray = field(init=False, repr=False, compare=False)
-    two_d_plus: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_d_minus: np.ndarray = field(init=False, repr=False)
+    two_d_plus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "has_squared", bool(self.is_squared.any()))

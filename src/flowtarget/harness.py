@@ -248,7 +248,7 @@ def read_csv_rows(path: str) -> list[dict]:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalingReport:
     T_values: np.ndarray
     median_regret: np.ndarray

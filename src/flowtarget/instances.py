@@ -156,7 +156,7 @@ def random_instance(seed: int, max_m: int = 3, max_n: int = 3, max_K: int = 4,
 # Gumbel cost model and aggregate-count estimation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GumbelCostModel:
     """Arrival cost model: a type-``j`` arrival draws resource ``i``'s cost
     from a (min-convention) Gumbel with location ``locations[j, i]`` and unit
@@ -219,7 +219,7 @@ def sample_gumbel_arrivals(model: GumbelCostModel, T: int, seed: int,
                            seed_info=f"seed={seed} stream=arrivals[{stream_index}] gumbel")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateObservation:
     """Per-interval ideal quantities: ``counts[t, i]`` arrivals in interval
     ``t`` whose cheapest option was resource ``i``, plus the interval's total
@@ -330,13 +330,19 @@ def generate_observations(model: GumbelCostModel, intervals: int, seed: int,
     return ideal_quantities(cv, sizes)
 
 
-@dataclass
+@dataclass(eq=False)
 class MleResult:
+    """The best restart's fit. ``steps`` is the number of descent steps the
+    batch took, at most ``iters``; it counts the final step that returned
+    every restart unchanged, so a fit that stopped at its fixed point after
+    ``s`` moving steps reports ``s + 1``. It is 0 for degenerate data."""
+
     probs: np.ndarray
     locations: np.ndarray
     log_likelihood: float
     degenerate: bool = False
     restart_lls: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    steps: int = 0
 
 
 def mle_gradient(probs: np.ndarray, locations: np.ndarray, rate: float,
@@ -379,8 +385,16 @@ def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
     maximized by projected gradient descent (locations clipped to ``bounds``,
     type probabilities projected to the simplex) over random restarts. Each
     restart draws its start from its own random stream; the restarts then
-    descend together as one batch, ``iters`` steps in all, and no sum mixes
-    two restarts, so each ends exactly where it would alone. A step reads
+    descend together as one batch, and no sum mixes two restarts, so each
+    ends exactly where it would alone. ``iters`` caps the steps: the descent
+    stops at the first step that returns every restart's locations (and,
+    with several types, its type mix) unchanged byte for byte. A step is a
+    function of those bytes, so every later step would repeat it, and the
+    result is what all ``iters`` steps give. The test compares bytes, not
+    values: ``-0.0 == 0.0`` though a zero's sign reaches the output, and a
+    repeating NaN is a fixed point that ``==`` misses. A fit that never
+    reaches one (two-type fits often do not) runs all ``iters`` steps;
+    ``MleResult.steps`` counts the steps taken. A step reads
     only the gradients: the loop takes them from the helper that
     :func:`mle_gradient` also calls, without the likelihood (evaluated once,
     at the end) or, with one type, the type-mix gradient, and clips through
@@ -415,18 +429,23 @@ def estimate_gumbel_mle(obs: AggregateObservation, n_types: int = 1,
         c[r] = rng.uniform(-3.0, 3.0, size=(n_types, m))
         if n_types > 1:
             p[r] = rng.dirichlet(np.ones(n_types))
-    for _ in range(iters):
+    steps = 0
+    while steps < iters:
         _, inner, gc = _mle_terms(p, c, rate, mean_counts)
-        c = np.minimum(np.maximum(c - step * gc, lo), hi)
-        if n_types > 1:
-            p = project_simplex(p - step * (rate * inner))
+        c_next = np.minimum(np.maximum(c - step * gc, lo), hi)
+        p_next = project_simplex(p - step * (rate * inner)) if n_types > 1 else p
+        steps += 1
+        if c_next.tobytes() == c.tobytes() and p_next.tobytes() == p.tobytes():
+            break  # a fixed point in bytes: every later step would repeat this one
+        c, p = c_next, p_next
     nll, _, _ = mle_gradient(p, c, rate, mean_counts)
     finite = np.flatnonzero(nll < np.inf)
     if len(finite) == 0:
         raise ValueError("no restart reached a finite likelihood")
     best = finite[np.argmin(nll[finite])]
     return MleResult(p[best].copy(), c[best].copy(),
-                     _full_log_likelihood(p[best], c[best], rate, obs), restart_lls=-nll)
+                     _full_log_likelihood(p[best], c[best], rate, obs), restart_lls=-nll,
+                     steps=steps)
 
 
 def _full_log_likelihood(probs, locations, rate, obs: AggregateObservation) -> float:
@@ -441,7 +460,7 @@ def _full_log_likelihood(probs, locations, rate, obs: AggregateObservation) -> f
 # Nonstationary reductions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonstatProfile:
     """Arrival-load profile: epoch ``k`` receives ``fractions[k] * T``
     arrivals. ``per_arrival`` targets average over arrivals seen so far;

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class BoxSolveResult:
     x: np.ndarray
     objective: float

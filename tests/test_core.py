@@ -466,3 +466,33 @@ class TestConsumptionState:
         st_.by_type[1, 0] = 5  # assignments without arrivals
         with pytest.raises(AssertionError):
             st_.check()
+
+
+def _array_dataclasses():
+    from flowtarget.harness import ScalingReport
+    from flowtarget.instances import AggregateObservation, GumbelCostModel, MleResult
+    from flowtarget.solver import BoxSolveResult
+    inst = generate_synthetic(SyntheticParams(T=30, seed=7))
+    return {
+        "DevGrid": lambda: inst.dev_grid.rows(slice(None)),
+        "GumbelCostModel": lambda: GumbelCostModel(locations=np.array([[0.2, -0.5]])),
+        "AggregateObservation": lambda: AggregateObservation(np.ones((2, 2)), np.full(2, 3)),
+        "NonstatProfile": lambda: NonstatProfile(np.array([0.5, 0.5])),
+        "MleResult": lambda: MleResult(np.ones(1), np.zeros((1, 2)), -1.0),
+        "BoxSolveResult": lambda: BoxSolveResult(np.zeros(2), 0.0, 1, True),
+        "ScalingReport": lambda: ScalingReport(*(np.ones(2) for _ in range(2)), 0.5,
+                                               *(np.ones(1) for _ in range(2)), np.ones(2)),
+    }
+
+
+class TestArrayDataclassesCompareByIdentity:
+    # each holds arrays, so the generated field-by-field == raised
+    # "truth value of an array ... is ambiguous" and hash() a TypeError
+    @pytest.mark.parametrize("name", sorted(_array_dataclasses()))
+    def test_eq_and_hash_are_by_identity(self, name):
+        make = _array_dataclasses()[name]
+        a, b = make(), make()
+        assert a == a and not (a != a)
+        assert (a == b) is False and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2

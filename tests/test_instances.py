@@ -394,6 +394,87 @@ class TestMlePinned:
         assert (res.log_likelihood,) + digests == self.PINNED[kind]
 
 
+def one_at_a_time_fit(obs, starts, iters, step, bounds):
+    """Every restart run alone for all ``iters`` steps with one type, through
+    mle_gradient and np.clip, as in test_batched_restarts_match_one_at_a_time:
+    the end locations and restart log-likelihoods."""
+    rate, mean_counts = float(obs.arrivals.mean()), obs.counts.mean(axis=0)
+    ends, lls = [], []
+    for c in starts:
+        for _ in range(iters):
+            _, _, gc = mle_gradient(np.ones(1), c, rate, mean_counts)
+            c = np.clip(c - step * gc, *bounds)
+        ends.append(c)
+        lls.append(-mle_gradient(np.ones(1), c, rate, mean_counts)[0])
+    return ends, np.array(lls)
+
+
+class _ConstantStarts:
+    """Stands in for a restart stream: every start location is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, low, high, size):
+        return np.full(size, self.value)
+
+
+class TestMleFixedPoint:
+    @pytest.mark.parametrize("start", ["drawn", "negative-zero"])
+    def test_early_exit_matches_every_step_run_alone(self, start, monkeypatch):
+        # "negative-zero" starts at -0.0 under bounds (0, 50): the first step
+        # moves the location to +0.0, which == the start, and the second
+        # step returns it unchanged.
+        if start == "drawn":
+            model = GumbelCostModel(locations=np.array([[-0.8, 0.9]]), rate=3.0)
+            obs = generate_observations(model, 400, seed=3)
+            kwargs = dict(restarts=3, iters=2000, step=0.3, bounds=(-50.0, 50.0), seed=9)
+            starts = [rng_stream(9, "restarts", r).uniform(-3.0, 3.0, size=(1, 2)) for r in range(3)]
+        else:
+            model = GumbelCostModel(locations=np.array([[-1.0]]), rate=3.0)
+            obs = generate_observations(model, 400, seed=3)
+            kwargs = dict(restarts=2, iters=50, step=0.3, bounds=(0.0, 50.0), seed=9)
+            monkeypatch.setattr("flowtarget.instances.rng_stream", lambda *a: _ConstantStarts(-0.0))
+            starts = [np.full((1, 1), -0.0)] * 2
+        res = estimate_gumbel_mle(obs, **kwargs)
+        assert res.steps < kwargs["iters"]
+        if start == "negative-zero":
+            assert res.steps == 2
+        ends, lls = one_at_a_time_fit(obs, starts, kwargs["iters"], kwargs["step"], kwargs["bounds"])
+        assert res.restart_lls.tobytes() == lls.tobytes()
+        assert res.locations.tobytes() == ends[int(np.argmax(lls))].tobytes()
+        assert res.probs.tobytes() == np.ones(1).tobytes()
+
+    def test_continuous_calibrated_fit_steps_are_pinned(self):
+        # the benchmark's continuous-calibrated fit at seed 101: the c09
+        # model, 40,000 intervals and 3 restarts. The 2,372nd step is the
+        # last that moves the batch, and the 2,373rd returns it unchanged.
+        model = GumbelCostModel(locations=np.array([[-0.33, 1.27, 0.21]]), rate=4.0)
+        obs = generate_observations(model, 40_000, seed=101)
+        res = estimate_gumbel_mle(obs, n_types=1, restarts=3, iters=10_000, step=0.2, seed=101)
+        assert res.steps == 2373
+        capped = estimate_gumbel_mle(obs, n_types=1, restarts=3, iters=2372, step=0.2, seed=101)
+        assert capped.steps == 2372
+        for a, b in ((res.locations, capped.locations), (res.restart_lls, capped.restart_lls)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bounds", [(-50.0, 50.0), (0.5, 1.0)])
+    def test_two_type_fit_runs_every_step(self, bounds):
+        # under bounds (0.5, 1) every location sits still from step 50 on,
+        # while the type mix keeps moving
+        model = GumbelCostModel(locations=np.array([[-0.8, 0.9, 0.3], [0.6, -0.5, 1.1]]),
+                                probs=np.array([0.9, 0.1]), rate=3.0)
+        obs = generate_observations(model, 2000, seed=6)
+        res = estimate_gumbel_mle(obs, n_types=2, restarts=4, iters=1000, bounds=bounds, seed=6)
+        assert res.steps == 1000
+
+    def test_no_descent_takes_no_steps(self):
+        model = GumbelCostModel(locations=np.array([[0.2, -0.5]]), rate=3.0)
+        assert estimate_gumbel_mle(generate_observations(model, 50, seed=6), iters=0).steps == 0
+        degenerate = AggregateObservation(np.zeros((5, 2), dtype=int), np.full(5, 3))
+        assert estimate_gumbel_mle(degenerate, restarts=2, iters=10).steps == 0
+
+
 def random_profile(rng, K, T):
     """Random positive integer arrival counts per epoch summing to T."""
     while True:

@@ -19,7 +19,10 @@ change is better and two verdicts, which are also printed:
   parent's median (the no-regression rule).
 
 ``--traced`` names workloads that also get one traced (``--trace 1``) run
-per side, whose per-layer metrics are recorded as they are.
+per side, whose per-layer metrics are recorded as they are. The output also
+records the python, numpy and scipy versions and, per checkout, its
+``git rev-parse HEAD`` and whether its tree differs from that commit
+(``null`` where the checkout is not a git work tree).
 """
 
 import argparse
@@ -44,6 +47,23 @@ def run_once(checkout, workload, seed, seconds, trace):
     return {"exit": proc.returncode, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def checkout_state(checkout):
+    """The checkout's commit and whether its tree differs from it (tracked
+    changes or untracked files), or ``None`` for both outside git or
+    without a ``git`` program."""
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain")
+    return {"head": head.strip() if head else None,
+            "dirty": None if head is None or status is None else bool(status.strip())}
 
 
 def summary(values):
@@ -84,6 +104,8 @@ def main(argv=None):
     sides = {"parent": args.parent, "change": args.change}
     out = {"cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
            "python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+           "scipy": importlib.metadata.version("scipy"),
+           "checkouts": {s: checkout_state(path) for s, path in sides.items()},
            "seconds_per_run": args.seconds,
            "pairs": args.pairs, "workloads": {}}
     for workload, first in zip(workloads, args.seed):
