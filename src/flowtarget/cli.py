@@ -9,9 +9,10 @@ Subcommands::
     flowtarget mle        estimate Gumbel cost locations from ideal quantities
     flowtarget transform  reduce a nonstationary profile to a stationary instance
 
-Flags may also be supplied via ``--config FILE`` (JSON object whose keys
-mirror the long flag names with dashes replaced by underscores); explicit
-flags win. Exits nonzero when an oracle gap exceeds ``--gap-tol``. The
+Flags may also come from ``--config FILE``, a JSON object whose keys are
+long flag names with ``_`` for ``-``. Each value is checked like the flag's,
+required flags may come from the file, and a flag on the command line
+always wins. Exits nonzero when an oracle gap exceeds ``--gap-tol``. The
 ``dual-subgradient`` backend is a bound certificate whose gap usually
 exceeds the default ``--gap-tol`` of 1e-6, so with it ``sweep`` flags its
 rows and exits 2; raise ``--gap-tol`` to accept its gap.
@@ -48,60 +49,39 @@ from .oracle import DUAL_SUBGRADIENT, EXACT_LP, hindsight_optimum
 from .policies import POLICIES, PolicyConfig
 
 
-def _apply_config_file(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
-    """Fill flags left at their defaults from the ``--config`` JSON object;
-    ``command`` is the subcommand's parser, whose defaults decide that. Every
-    value is checked as the flag's own would be (:func:`_config_value`); a
-    bad one exits 2 with the flag's message."""
-    if getattr(args, "config", None) is None:
-        return
-    with open(args.config) as fh:
+def _config_tokens(path: str, name: str, command: argparse.ArgumentParser) -> list[str]:
+    """The JSON object in ``path`` as flag tokens of subcommand ``name``, for
+    argparse to check ahead of the command line's own tokens. Checked here is
+    what tokens cannot carry: bools, lists, and number-or-string items."""
+    with open(path) as fh:
         overrides = json.load(fh)
-    actions = {action.dest: action for action in command._actions}
+    actions = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}  # not --help
+    tokens = []
     for key, value in overrides.items():
-        if not hasattr(args, key):
-            raise SystemExit(f"config file key {key!r} is not a flag of {args.command!r}")
-        try:
-            value = _config_value(actions[key], value)
-        except argparse.ArgumentError as exc:
-            command.error(str(exc))
-        if getattr(args, key) == command.get_default(key):
-            setattr(args, key, value)
+        if key not in actions:
+            command.error(f"config file key {key!r} is not a flag of {name!r}")
+        action = actions[key]
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # an on/off flag
+            if not isinstance(value, bool):
+                command.error(f"argument {flag}: expected true or false, got {value!r}")
+            tokens += [flag] if value else []
+            continue
+        many = action.nargs not in (None, "?")
+        if many != isinstance(value, list):
+            command.error(f"argument {flag}: expected {'a list' if many else 'one value'}, got {value!r}")
+        for item in value if many else [value]:
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                command.error(f"argument {flag}: expected a number or a string, got {item!r}")
+        # "--flag=value", so that a value starting with "-" stays a value
+        tokens += [flag, *map(str, value)] if many else [f"{flag}={value}"]
+    return tokens
 
 
-def _config_value(action: argparse.Action, value):
-    """A ``--config`` value passed through its flag's ``type`` (element by
-    element for a flag that takes a list) and checked against its
-    ``choices``, raising the ``ArgumentError`` the command line would."""
-    if action.nargs == 0:  # an on/off flag
-        if not isinstance(value, bool):
-            raise argparse.ArgumentError(action, f"expected true or false, got {value!r}")
-        return value
-    many = action.nargs not in (None, "?")
-    if many != isinstance(value, list):
-        raise argparse.ArgumentError(action, f"expected {'a list' if many else 'one value'}, got {value!r}")
-    convert = action.type or str
-    out = []
-    for item in value if many else [value]:
-        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
-            raise argparse.ArgumentError(action, f"expected a number or a string, got {item!r}")
-        try:
-            item = convert(str(item))
-        except argparse.ArgumentTypeError as exc:
-            raise argparse.ArgumentError(action, str(exc)) from None
-        except (TypeError, ValueError):
-            raise argparse.ArgumentError(
-                action, f"invalid {getattr(convert, '__name__', 'value')} value: {item!r}") from None
-        if action.choices is not None and item not in action.choices:
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {item!r} (choose from {', '.join(map(repr, action.choices))})")
-        out.append(item)
-    return out if many else out[0]
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    p.add_argument("--config", help="JSON of flags by long name (_ for -), checked as flags; command-line flags win")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
 
 
@@ -125,6 +105,14 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 
 
+def _grid_int(text: str) -> int:
+    int(text)  # a non-integer keeps argparse's "invalid int value", named from __name__
+    return _positive_int(text)
+
+
+_grid_int.__name__ = "int"
+
+
 def _add_oracle(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle-backend", default=EXACT_LP, choices=[EXACT_LP, DUAL_SUBGRADIENT])
     p.add_argument("--gap-tol", type=_finite_nonnegative, default=1e-6,
@@ -139,12 +127,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gen", help="generate a synthetic instance")
     _add_common(p)
-    p.add_argument("--T", type=int, default=501)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--K", type=int, default=3)
+    p.add_argument("--T", type=_grid_int, default=501)
+    p.add_argument("--delta", type=_finite_nonnegative, default=1.0)
+    p.add_argument("--gamma", type=_finite_nonnegative, default=2.0)
+    p.add_argument("--m", type=_grid_int, default=3)
+    p.add_argument("--n", type=_grid_int, default=3)
+    p.add_argument("--K", type=_grid_int, default=3)
     p.add_argument("--arrivals", action="store_true", help="also sample an arrival path")
 
     p = sub.add_parser("run", help="run one policy on an instance")
@@ -159,9 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p)
     p.add_argument("--instance", help="fixed instance file instead of the generator")
     p.add_argument("--policy", nargs="+", default=["proxy-dgd", "smart-me"], choices=sorted(POLICIES))
-    p.add_argument("--T", type=int, nargs="+", default=[501])
-    p.add_argument("--delta", type=float, nargs="+", default=[1.0])
-    p.add_argument("--gamma", type=float, nargs="+", default=[2.0])
+    p.add_argument("--T", type=_grid_int, nargs="+", default=[501])
+    p.add_argument("--delta", type=_finite_nonnegative, nargs="+", default=[1.0])
+    p.add_argument("--gamma", type=_finite_nonnegative, nargs="+", default=[2.0])
     p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument("--eta-mult", type=_finite_positive, default=1.0)
     _add_oracle(p)
@@ -170,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="print the regret-vs-T report after the sweep")
 
     p = sub.add_parser("oracle", help="solve the offline benchmark")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--instance", required=True)
     p.add_argument("--omega", required=True)
     _add_oracle(p)
@@ -186,13 +174,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--step", type=float, default=0.2)
 
     p = sub.add_parser("transform", help="stationarize a nonstationary profile")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--instance", required=True)
     p.add_argument("--fractions", type=float, nargs="+", required=True)
     p.add_argument("--mode", default="per-arrival", choices=["per-arrival", "per-period"])
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is left to the parser's own message
+    config = pre.parse_known_args(argv)[0].config
+    if config is not None and argv[0] in sub.choices:
+        argv[1:1] = _config_tokens(config, argv[0], sub.choices[argv[0]])
     args = parser.parse_args(argv)
-    _apply_config_file(args, sub.choices[args.command])
     return _COMMANDS[args.command](args)
 
 
@@ -285,6 +278,12 @@ def _cmd_mle(args) -> int:
     for j in range(res.locations.shape[0]):
         locs = " ".join(f"{v:.4f}" for v in res.locations[j])
         print(f"type {j + 1}: p={res.probs[j]:.4f} locations=[{locs}]")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "mle.json")
+    with open(path, "w") as fh:
+        json.dump({"probs": res.probs.tolist(), "locations": res.locations.tolist(), "log_likelihood":
+                   res.log_likelihood, "degenerate": res.degenerate, "steps": res.steps}, fh)
+    print(f"wrote {path}")
     return 0
 
 

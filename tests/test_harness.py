@@ -373,3 +373,121 @@ class TestCli:
         assert cli_main(["run", "--instance", os.path.join(out, "instance.json"),
                          "--config", cfg_path]) == 0
         assert os.path.exists(os.path.join(out, "trace_greedy.csv"))
+
+    def test_mle_command_writes_the_fit(self, tmp_path, capsys):
+        import json
+        from flowtarget.instances import (AggregateObservation, GumbelCostModel,
+                                          estimate_gumbel_mle, generate_observations)
+        obs = generate_observations(GumbelCostModel(locations=np.array([[0.2, -0.5]]),
+                                                    rate=3.0), 200, seed=6)
+        path = str(tmp_path / "obs.csv")
+        obs.to_csv(path)
+        out = str(tmp_path / "mle")
+        assert cli_main(["mle", "--observations", path, "--restarts", "2", "--iters", "500",
+                         "--seed", "3", "--out", out]) == 0
+        mle_path = os.path.join(out, "mle.json")
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {mle_path}"
+        res = estimate_gumbel_mle(AggregateObservation.from_csv(path), restarts=2, iters=500, seed=3)
+        with open(mle_path) as fh:
+            fit = json.load(fh)
+        assert np.array(fit["probs"]).tobytes() == res.probs.tobytes()
+        assert np.array(fit["locations"]).tobytes() == res.locations.tobytes()
+        assert (fit["log_likelihood"], fit["degenerate"], fit["steps"]) == (
+            res.log_likelihood, res.degenerate, res.steps)
+
+    @pytest.mark.parametrize("argv, flag, value, what", [
+        (["gen"], "--T", "0", "a positive integer"),
+        (["gen"], "--K", "-1", "a positive integer"),
+        (["gen"], "--m", "0", "a positive integer"),
+        (["gen"], "--n", "0", "a positive integer"),
+        (["gen"], "--delta", "-1", "a finite, nonnegative number"),
+        (["gen"], "--gamma", "nan", "a finite, nonnegative number"),
+        (["gen"], "--gamma", "inf", "a finite, nonnegative number"),
+        (["sweep", "--T", "30"], "--T", "0", "a positive integer"),
+        (["sweep"], "--delta", "nan", "a finite, nonnegative number"),
+        (["sweep"], "--gamma", "-2", "a finite, nonnegative number"),
+    ])
+    def test_grid_flags_rejected_out_of_range(self, argv, flag, value, what, capsys):
+        # gen --m 0 used to end in a ZeroDivisionError, and gen --delta -1,
+        # gen --gamma nan, sweep --T 0 and sweep --delta nan in tracebacks (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: must be {what}, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, overrides, message", [
+        (["gen"], {"m": 0}, "--m: must be a positive integer, got '0'"),
+        (["gen"], {"delta": -1.5}, "--delta: must be a finite, nonnegative number, got '-1.5'"),
+        (["sweep"], {"T": [30, 0]}, "--T: must be a positive integer, got '0'"),
+        (["sweep"], {"gamma": [float("nan")]}, "--gamma: must be a finite, nonnegative number, got 'nan'"),
+    ])
+    def test_config_file_grid_values_checked_like_the_flags(self, argv, overrides, message,
+                                                            tmp_path, capsys):
+        import json
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(overrides, fh)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--config", cfg_path])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_explicit_flag_equal_to_its_default_beats_the_config(self, tmp_path):
+        # the config used to win over a flag that repeated its default
+        import json
+        argv = ["sweep", "--policy", "greedy", "--T", "30", "--reps", "1", "--workers", "1"]
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"seed": 5}, fh)
+        flagged, configured = str(tmp_path / "flag"), str(tmp_path / "config")
+        assert cli_main(argv + ["--seed", "0", "--out", flagged]) == 0
+        assert cli_main(argv + ["--config", cfg_path, "--seed", "0", "--out", configured]) == 0
+        with open(os.path.join(flagged, "replications.csv"), "rb") as a, \
+                open(os.path.join(configured, "replications.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_config_file_supplies_every_required_flag(self, tmp_path):
+        # run used to exit 2 with "the following arguments are required: --instance"
+        import json
+        out = str(tmp_path / "exp")
+        assert cli_main(["gen", "--T", "30", "--m", "2", "--n", "2", "--arrivals", "--out", out]) == 0
+        inst_path, omega_path = os.path.join(out, "instance.json"), os.path.join(out, "arrivals.json")
+        flagged, configured = str(tmp_path / "flag"), str(tmp_path / "config")
+        assert cli_main(["run", "--instance", inst_path, "--omega", omega_path,
+                         "--policy", "greedy", "--out", flagged]) == 0
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"instance": inst_path, "omega": omega_path, "policy": "greedy",
+                       "out": configured}, fh)
+        assert cli_main(["run", "--config", cfg_path]) == 0
+        with open(os.path.join(flagged, "trace_greedy.csv"), "rb") as a, \
+                open(os.path.join(configured, "trace_greedy.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_config_key_command_is_not_a_flag(self, tmp_path, capsys):
+        # this key used to end in a KeyError traceback
+        import json
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"command": "gen"}, fh)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gen", "--config", cfg_path])
+        assert exc.value.code == 2
+        assert "config file key 'command' is not a flag of 'gen'" in capsys.readouterr().err
+
+    def test_config_value_starting_with_a_dash_stays_a_value(self, tmp_path, monkeypatch):
+        import json
+        monkeypatch.chdir(tmp_path)
+        with open("c.json", "w") as fh:
+            json.dump({"T": 30, "m": 2, "n": 2, "out": "-exp"}, fh)
+        assert cli_main(["gen", "--config", "c.json"]) == 0
+        assert os.path.exists(os.path.join("-exp", "instance.json"))
+
+    @pytest.mark.parametrize("argv", [["oracle", "--instance", "i.json", "--omega", "o.json"],
+                                      ["transform", "--instance", "i.json", "--fractions", "1"]])
+    def test_oracle_and_transform_take_no_seed(self, argv, capsys):
+        # both took a --seed that nothing read
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
