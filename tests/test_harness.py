@@ -464,16 +464,17 @@ class TestCli:
                 open(os.path.join(configured, "trace_greedy.csv"), "rb") as b:
             assert a.read() == b.read()
 
-    def test_config_key_command_is_not_a_flag(self, tmp_path, capsys):
-        # this key used to end in a KeyError traceback
+    @pytest.mark.parametrize("key, value", [("command", "gen"), ("help", True)])
+    def test_config_keys_command_and_help_are_not_flags(self, key, value, tmp_path, capsys):
+        # "command" used to end in a KeyError traceback
         import json
         cfg_path = str(tmp_path / "c.json")
         with open(cfg_path, "w") as fh:
-            json.dump({"command": "gen"}, fh)
+            json.dump({key: value}, fh)
         with pytest.raises(SystemExit) as exc:
             cli_main(["gen", "--config", cfg_path])
         assert exc.value.code == 2
-        assert "config file key 'command' is not a flag of 'gen'" in capsys.readouterr().err
+        assert f"config file key '{key}' is not a flag of 'gen'" in capsys.readouterr().err
 
     def test_config_value_starting_with_a_dash_stays_a_value(self, tmp_path, monkeypatch):
         import json
