@@ -281,8 +281,8 @@ def _cmd_mle(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "mle.json")
     with open(path, "w") as fh:
-        json.dump({"probs": res.probs.tolist(), "locations": res.locations.tolist(), "log_likelihood":
-                   res.log_likelihood, "degenerate": res.degenerate, "steps": res.steps}, fh)
+        json.dump({"probs": res.probs.tolist(), "locations": res.locations.tolist(),
+                   "log_likelihood": res.log_likelihood, "degenerate": res.degenerate, "steps": res.steps}, fh)
     print(f"wrote {path}")
     return 0
 
